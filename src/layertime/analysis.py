@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace as dc_replace
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .layers import (
     LayerKind,
@@ -122,6 +121,10 @@ def coefficient_pvalues(dataset: Dataset) -> SignificanceReport:
                 )
             )
         return SignificanceReport(kind=dataset.kind, variables=tuple(variables))
+
+    # imported here: scipy.stats is the package's slowest import by far,
+    # and nothing else needs it
+    from scipy import stats
 
     sigma2 = rss / dof
     covariance = sigma2 * np.linalg.pinv(kept.T @ kept)

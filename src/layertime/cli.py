@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -404,8 +405,8 @@ def _parse_width_grid(spec: str, net) -> list[list[int]]:
 def _cmd_compress(args) -> int:
     models = load_models(Path(args.model).read_bytes())
     net = load_network(Path(args.network).read_bytes())
-    if args.lam < 0:
-        raise _UsageError("--lambda must be >= 0")
+    if not 0 <= args.lam < math.inf:
+        raise _UsageError("--lambda must be finite and >= 0")
     evaluator = (
         CommandEvaluator(args.evaluator_cmd) if args.evaluator_cmd else (lambda _: 0.0)
     )

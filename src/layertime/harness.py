@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -73,8 +74,8 @@ class ProfileSample:
     source: str = "measured"
 
     def __post_init__(self) -> None:
-        if not self.time_ms > 0:
-            raise ValueError(f"time_ms must be > 0, got {self.time_ms}")
+        if not 0 < self.time_ms < math.inf:
+            raise ValueError(f"time_ms must be finite and > 0, got {self.time_ms}")
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
         if self.source not in ("measured", "synthetic"):

@@ -336,6 +336,11 @@ def network_time(model_map: Mapping[LayerKind, TimeModel], net: NetworkSpec) -> 
     return _total_time(model_map, net.layers)
 
 
+def _check_lam(lam: float) -> None:
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
+
+
 def time_aware_objective(
     evaluator: Callable[[NetworkSpec], float],
     model_map: Mapping[LayerKind, TimeModel],
@@ -343,8 +348,7 @@ def time_aware_objective(
     lam: float,
 ) -> float:
     """Compression objective: evaluator loss plus ``lam`` times predicted time."""
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
+    _check_lam(lam)
     return float(evaluator(net)) + lam * network_time(model_map, net)
 
 
@@ -534,8 +538,7 @@ def greedy_compress(
     expansion is kept only if it does not worsen the objective, so the
     result never scores above the input network.
     """
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
+    _check_lam(lam)
     grids = _check_grid(net, width_grid)
     objective = _Objective(evaluator, model_map, lam, budget)
     current = net
@@ -579,8 +582,7 @@ def brute_force_compress(
     Every width combination is expanded before scoring; ties go to the
     lexicographically smallest widths.
     """
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
+    _check_lam(lam)
     grids = _check_grid(net, width_grid)
     total = 1
     for grid in grids:

@@ -4,9 +4,14 @@ A fitted model is a binary tree of split conditions with a non-negatively
 constrained linear fit at every node.  Growth is breadth-first: a node
 stops when its own fit is already accurate enough, when too little data
 remains, at the depth cap, or when no candidate condition can split it.
-Fitted models are immutable and safe to share between threads; fitting
-mutates only node-local state, and candidate evaluations at a node are
-independent of each other.
+
+Split search scores all candidate conditions of a node at once: one
+matrix product gives every candidate's per-side Gram sums, and a batched
+NNLS over all column supports screens their impurities.  Only the few
+candidates that screen within a narrow band of the best are refitted
+row-exact, so the chosen split and its fits are those that fitting every
+candidate row-exact would choose.  Fitted models are immutable and safe
+to share between threads; fitting mutates only node-local state.
 """
 
 from __future__ import annotations
@@ -113,6 +118,10 @@ class Dataset:
         n = times.shape[0]
         if features.shape[0] != n or explanatory.shape[0] != n:
             raise ValueError("features, explanatory, and times must agree in length")
+        for name, values in (("features", features), ("explanatory", explanatory),
+                             ("times", times)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite")
         if n and times.min() <= 0:
             raise ValueError("all measured times must be > 0")
         object.__setattr__(self, "features", features)
@@ -356,26 +365,123 @@ def _tie_break_key(condition: Condition) -> tuple[int, int, float]:
     )
 
 
+# Screened impurities within this relative band of the best one (plus an
+# absolute floor for sums that cancel to near zero) are confirmed exactly.
+_SCREEN_BAND = 1e-6
+_SCREEN_FLOOR = 1e-9
+# Supports whose unit-diagonal Gram block has a smaller eigenvalue are
+# treated as singular and skipped.
+_SINGULAR = 1e-12
+
+
+def _split_sums(dataset: Dataset, masks: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Gram matrices, ``Aᵀy`` and ``yᵀy`` of both sides of every candidate.
+
+    ``A`` is the node's design (explanatory columns plus an intercept),
+    max-abs scaled as :func:`nnls` scales it.  Rows ``0..C-1`` of each
+    result are the candidates' left sides, rows ``C..2C-1`` their right.
+    """
+    n = len(dataset)
+    design = np.hstack([dataset.explanatory, np.ones((n, 1))])
+    col_scale = np.abs(design).max(axis=0)
+    col_scale[col_scale == 0.0] = 1.0
+    rows = np.hstack([design / col_scale, dataset.times[:, None]])
+    k = design.shape[1]
+    upper = np.triu_indices(k + 1)
+    products = rows[:, upper[0]] * rows[:, upper[1]]
+    left = masks.astype(float) @ products
+    sums = np.concatenate([left, products.sum(axis=0) - left])
+    augmented = np.empty((sums.shape[0], k + 1, k + 1))
+    augmented[:, upper[0], upper[1]] = sums
+    augmented[:, upper[1], upper[0]] = sums
+    return augmented[:, :k, :k], augmented[:, :k, k], augmented[:, k, k]
+
+
+def _batched_nnls_sse(gram: np.ndarray, aty: np.ndarray, yty: np.ndarray) -> np.ndarray:
+    """Minimum of ``||A x - y||²`` over ``x >= 0`` for a batch of problems.
+
+    Each problem is given by its Gram matrix, ``Aᵀy`` and ``yᵀy``.  Every
+    support (non-empty column subset) is solved unconstrained, with one
+    batched solve per support; a support counts where its Gram block is
+    non-singular and its solution strictly positive.  An NNLS optimum
+    always lies on such a support or at ``x = 0``, so the minimum over
+    them is exact up to rounding.  For non-negative columns, skipping a
+    near-singular support costs at most about ``k · _SINGULAR · yᵀy``.
+    """
+    k = aty.shape[1]
+    norm = np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
+    nonzero = norm > 0.0
+    norm = np.where(nonzero, norm, 1.0)
+    unit = gram / (norm[:, :, None] * norm[:, None, :])
+    scaled_aty = aty / norm
+    # eigenvalues interlace, so a well-conditioned problem has no singular
+    # support, and only the others need a check per support
+    robust = np.linalg.eigvalsh(unit)[:, 0] > _SINGULAR
+    best = yty.copy()
+    for bits in range(1, 2**k):
+        cols = [j for j in range(k) if bits >> j & 1]
+        g = unit[:, cols][:, :, cols]
+        ok = nonzero[:, cols].all(axis=1)
+        check = ok & ~robust
+        if check.any():
+            ok[check] = np.linalg.eigvalsh(g[check])[:, 0] > _SINGULAR
+        g[~ok] = np.eye(len(cols))
+        b = scaled_aty[:, cols]
+        z = np.linalg.solve(g, b[:, :, None])[:, :, 0]
+        ok &= (z > 0.0).all(axis=1)
+        # stationary form: first-order insensitive to the solve's error
+        sse = yty - 2.0 * (b * z).sum(axis=1) + np.einsum("bi,bij,bj->b", z, g, z)
+        best = np.where(ok & (sse < best), sse, best)
+    return best
+
+
+def _screened_impurities(dataset: Dataset, masks: np.ndarray) -> np.ndarray:
+    gram, aty, yty = _split_sums(dataset, masks)
+    sse = _batched_nnls_sse(gram, aty, yty)
+    count = masks.shape[0]
+    return (sse[:count] + sse[count:]) / len(dataset)
+
+
+def _exact_split(dataset: Dataset, condition: Condition, mask: np.ndarray) -> _Split:
+    left_fit = nnls_fit(dataset.subset(mask))
+    right_fit = nnls_fit(dataset.subset(~mask))
+    return _Split(
+        condition=condition,
+        mask=mask,
+        left_fit=left_fit,
+        right_fit=right_fit,
+        impurity=_weighted_impurity(left_fit.n, left_fit.mse, right_fit.n, right_fit.mse),
+    )
+
+
 def _best_split(dataset: Dataset, params: FitParams) -> _Split | None:
+    """The impurity-minimizing candidate condition of a node, or ``None``.
+
+    All candidates are screened in one batched pass: their side sums come
+    from one matrix product, and their side NNLS errors from
+    :func:`_batched_nnls_sse`.  Only the contenders, whose screened
+    impurity lies within a small band of the best, are refitted row-exact
+    with :func:`nnls_fit`.  Among those, every split within a relative
+    ``1e-12`` of the lowest impurity ties, and :func:`_tie_break_key`
+    picks one.  The chosen condition and its fits are therefore exactly
+    those of scoring every candidate with :func:`nnls_fit`.
+    """
     candidates = enumerate_conditions(dataset, params)
     if not candidates:
         return None
-    splits: list[_Split] = []
-    for condition in candidates:
-        mask = condition.holds(dataset.features)
-        left_fit = nnls_fit(dataset.subset(mask))
-        right_fit = nnls_fit(dataset.subset(~mask))
-        splits.append(
-            _Split(
-                condition=condition,
-                mask=mask,
-                left_fit=left_fit,
-                right_fit=right_fit,
-                impurity=_weighted_impurity(
-                    left_fit.n, left_fit.mse, right_fit.n, right_fit.mse
-                ),
-            )
-        )
+    masks = np.array([condition.holds(dataset.features) for condition in candidates])
+    screened = _screened_impurities(dataset, masks)
+    finite = np.isfinite(screened)
+    contenders = ~finite
+    if finite.any():
+        lowest = float(screened[finite].min())
+        # the sums' rounding grows like n·eps times the node's mean square time
+        rounding = max(_SCREEN_FLOOR, 16 * len(dataset) * np.finfo(float).eps)
+        floor = rounding * float(np.mean(dataset.times**2))
+        contenders |= screened <= lowest + _SCREEN_BAND * abs(lowest) + floor
+    splits = [
+        _exact_split(dataset, candidates[i], masks[i]) for i in np.flatnonzero(contenders)
+    ]
     best = min(split.impurity for split in splits)
     threshold = best + 1e-12 * abs(best)
     eligible = [split for split in splits if split.impurity <= threshold]

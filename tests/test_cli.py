@@ -1,6 +1,8 @@
 """End-to-end command-line behaviour, exit codes, and reproducibility."""
 
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -182,6 +184,41 @@ def test_data_errors_exit_two(tmp_path, capsys):
     assert main(["predict", "--model", str(bad_model), "--config", str(config_path)]) == 2
     err = capsys.readouterr().err
     assert "error: data:" in err
+
+
+def test_infinite_profile_time_exits_two(tmp_path, capsys):
+    profile = tmp_path / "profile.jsonl"
+    profile.write_text(
+        '{"layer_type": "FC", "config": {"in_dim": 3, "out_dim": 5}, "time_ms": Infinity}\n'
+    )
+    code = main(["fit", "--dataset", str(profile), "--out", str(tmp_path / "m.json")])
+    assert code == 2
+    assert "error: data:" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
+def test_non_finite_lambda_is_a_usage_error(tmp_path, capsys, lam):
+    model_path = write_reference_model(tmp_path)
+    net_path = write_network(tmp_path, [cnn(24, 24, 3, 3, 8, 64)])
+    out_path = tmp_path / "compressed.json"
+    code = main([
+        "compress", "--model", str(model_path), "--network", str(net_path),
+        f"--lambda={lam}", "--out", str(out_path),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: usage")
+    assert not out_path.exists()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats dominates a cold start, and only `analyze` needs it
+    probe = "import sys, layertime.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_failing_evaluator_is_a_data_error(tmp_path, capsys):

@@ -177,6 +177,23 @@ def test_nonpositive_time_reports_line(tmp_path):
         read_profile(path)
 
 
+@pytest.mark.parametrize("bad", ["Infinity", "-Infinity", "NaN"])
+def test_non_finite_time_reports_line(tmp_path, bad):
+    config = cnn(24, 24, 3, 3, 8, 16)
+    path = tmp_path / "profile.jsonl"
+    write_profile([ProfileSample(config=config, time_ms=1.0)], path)
+    lines = path.read_text().splitlines()
+    lines.append(lines[0].replace('"time_ms": 1.0', f'"time_ms": {bad}'))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ProfileFormatError, match=":2:"):
+        read_profile(path)
+
+
+def test_sample_rejects_infinite_time():
+    with pytest.raises(ValueError, match="finite"):
+        ProfileSample(config=fc(3, 5), time_ms=float("inf"))
+
+
 def test_malformed_json_reports_line(tmp_path):
     path = tmp_path / "profile.jsonl"
     path.write_text('{"layer_type": "FC"\n')

@@ -339,6 +339,19 @@ def test_time_aware_objective_reductions(reference_model):
         time_aware_objective(loss, models, net, -1.0)
 
 
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
+def test_compression_rejects_bad_lambda(reference_model, lam):
+    models = {LayerKind.CNN: reference_model}
+    net = NetworkSpec((cnn(24, 24, 3, 3, 43, 64),))
+    zero = lambda _: 0.0
+    with pytest.raises(ValueError, match="lam"):
+        time_aware_objective(zero, models, net, lam)
+    with pytest.raises(ValueError, match="lam"):
+        greedy_compress(zero, models, net, lam, [[32, 64]])
+    with pytest.raises(ValueError, match="lam"):
+        brute_force_compress(zero, models, net, lam, [[32, 64]])
+
+
 # --- compression search --------------------------------------------------------------
 
 

@@ -112,6 +112,16 @@ def test_dataset_rejects_nonpositive_times():
         synthetic_dataset([[1.0]], [[1.0]], [0.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("column", ["features", "explanatory", "times"])
+def test_dataset_rejects_non_finite_values(column, bad):
+    values = {"features": [[1.0], [2.0]], "explanatory": [[1.0], [2.0]], "times": [1.0, 2.0]}
+    values[column] = np.array(values[column], dtype=float)
+    values[column].flat[1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        synthetic_dataset(values["features"], values["explanatory"], values["times"])
+
+
 def test_dataset_rejects_mixed_kinds():
     with pytest.raises(ValueError):
         Dataset.from_records(LayerKind.FC, [fc(1, 2), cnn(24, 24, 3, 3, 1, 1)], [1.0, 2.0])
