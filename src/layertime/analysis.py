@@ -23,6 +23,7 @@ from .layers import (
     explanatory_names,
     feature_names,
 )
+from .nnls import NumericError
 from .tree import Condition, ConditionKind, Dataset, LinearFit, TimeModel
 
 __all__ = [
@@ -122,10 +123,6 @@ def coefficient_pvalues(dataset: Dataset) -> SignificanceReport:
             )
         return SignificanceReport(kind=dataset.kind, variables=tuple(variables))
 
-    # imported here: scipy.stats is the package's slowest import by far,
-    # and nothing else needs it
-    from scipy import stats
-
     sigma2 = rss / dof
     covariance = sigma2 * np.linalg.pinv(kept.T @ kept)
     se = np.zeros(k + 1)
@@ -143,13 +140,60 @@ def coefficient_pvalues(dataset: Dataset) -> SignificanceReport:
             )
             continue
         t = float(beta[j] / se[j])
-        p = float(2.0 * stats.t.sf(abs(t), dof))
+        p = _t_two_sided_pvalue(t, dof)
         variables.append(
             VariableSignificance(
                 name=name, coefficient=float(beta[j]), t_statistic=t, p_value=p
             )
         )
     return SignificanceReport(kind=dataset.kind, variables=tuple(variables))
+
+
+def _t_two_sided_pvalue(t: float, dof: int) -> float:
+    """``P(|T| >= |t|)`` for Student's t with ``dof`` degrees of freedom.
+
+    Equals the regularized incomplete beta ``I_x(dof/2, 1/2)`` at
+    ``x = dof / (dof + t²)``, evaluated by its continued fraction on the
+    side where that converges fast, so small p-values keep their
+    relative precision.
+    """
+    a, b = 0.5 * dof, 0.5
+    t2 = t * t
+    x, y = dof / (dof + t2), t2 / (dof + t2)  # y = 1 - x without cancellation
+    if y == 0.0:
+        return 1.0
+    if x == 0.0:
+        return 0.0
+    front = math.exp(
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+        + a * math.log(x) + b * math.log(y)
+    )
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_continued_fraction(a, b, x) / a
+    return 1.0 - front * _beta_continued_fraction(b, a, y) / b
+
+
+def _beta_continued_fraction(a: float, b: float, x: float) -> float:
+    # modified Lentz evaluation of the incomplete beta continued fraction
+    tiny = 1e-300
+
+    def clamp(v: float) -> float:
+        return v if abs(v) > tiny else tiny
+
+    c = 1.0
+    d = 1.0 / clamp(1.0 - (a + b) * x / (a + 1.0))
+    h = d
+    for m in range(1, 100_000):
+        for numerator in (
+            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
+        ):
+            d = 1.0 / clamp(1.0 + numerator * d)
+            c = clamp(1.0 + numerator / c)
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-16:
+            return h
+    raise NumericError("incomplete beta continued fraction did not converge")
 
 
 # --- channel-space polynomials ----------------------------------------------

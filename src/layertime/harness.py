@@ -37,7 +37,8 @@ from .tree import (
     ModelFormatError,
     Node,
     TimeModel,
-    model_from_dict,
+    _models_from_dict,
+    _parse_json,
     model_to_dict,
 )
 
@@ -278,23 +279,13 @@ def save_oracle(oracle: SyntheticOracle) -> bytes:
 
 
 def load_oracle(data: bytes | str) -> SyntheticOracle:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8", errors="replace")
+    doc = _parse_json(data, ModelFormatError)
+    models = _models_from_dict(doc)
     try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"not valid JSON: {exc}") from exc
-    try:
-        models = {}
-        for entry in doc["models"]:
-            model = model_from_dict(entry)
-            models[model.kind] = model
         return SyntheticOracle(
             models=models, noise=float(doc["noise"]), seed=int(doc["seed"])
         )
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ModelFormatError):
-            raise
         raise ModelFormatError(f"malformed oracle document: {exc}") from exc
 
 

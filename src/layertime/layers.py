@@ -31,8 +31,6 @@ __all__ = [
     "derive_explanatory",
     "feature_names",
     "explanatory_names",
-    "structural_feature_names",
-    "expandable_features",
     "width_fields",
     "config_to_dict",
     "config_from_dict",
@@ -265,10 +263,6 @@ def feature_names(kind: LayerKind) -> tuple[str, ...]:
     return _FIELDS_BY_KIND[kind] + _MEMORY_FEATURES
 
 
-def structural_feature_names(kind: LayerKind) -> tuple[str, ...]:
-    return _FIELDS_BY_KIND[kind]
-
-
 def explanatory_names(kind: LayerKind) -> tuple[str, ...]:
     if kind in RECURRENT_KINDS:
         return ("flops", "mem", "param_size", "step")
@@ -276,21 +270,17 @@ def explanatory_names(kind: LayerKind) -> tuple[str, ...]:
 
 
 def width_fields(kind: LayerKind) -> tuple[str, str]:
-    """The (input width, output width) field names of a layer kind."""
+    """The (input width, output width) field names of a layer kind.
+
+    These are the only structural coordinates that expansion may round up:
+    growing a weight-matrix width is function-preserving because the new
+    rows/columns/channels can be zero-filled.  Geometry (input extent,
+    kernel), stride, padding, and step count are fixed by the data and the
+    application.
+    """
     if kind is LayerKind.CNN:
         return ("in_channel", "out_channel")
     return ("in_dim", "out_dim")
-
-
-def expandable_features(kind: LayerKind) -> tuple[str, str]:
-    """Structural coordinates that may be rounded up during expansion.
-
-    Only weight-matrix widths qualify: growing them is function-preserving
-    because the new rows/columns/channels can be zero-filled.  Geometry
-    (input extent, kernel), stride, padding, and step count are fixed by
-    the data and the application.
-    """
-    return width_fields(kind)
 
 
 def _memory_features(config: StructureConfig) -> dict[str, int]:

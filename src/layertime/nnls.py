@@ -6,28 +6,24 @@ import numpy as np
 
 __all__ = ["nnls", "kkt_residual", "NumericError"]
 
+# relative tolerance on the gradient at the returned point
+_TOL = 1e-10
+
 
 class NumericError(RuntimeError):
     """A numerical routine failed to reach its advertised tolerance."""
 
 
-def nnls(
-    A: np.ndarray,
-    y: np.ndarray,
-    *,
-    tol: float = 1e-10,
-    max_iter: int | None = None,
-) -> np.ndarray:
+def nnls(A: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Solve ``min ||A x - y||^2`` subject to ``x >= 0``.
 
     Active-set iteration in the Lawson-Hanson style: the most violated
     coordinate joins the passive set, an unconstrained least-squares
     subproblem is solved on the passive columns, and the step is clipped
     whenever a passive coordinate would turn negative.  At the returned
-    point the KKT conditions hold to within ``tol`` relative to the
-    problem scale.  If the active-set loop exceeds its iteration budget
-    (degenerate data), a projected-gradient polish is attempted before
-    giving up with :class:`NumericError`.
+    point the KKT conditions hold to within a relative ``1e-10`` of the
+    problem scale.  If the loop exceeds its budget of ``max(50, 10 n)``
+    outer iterations, :class:`NumericError` is raised.
 
     Parameters
     ----------
@@ -35,10 +31,6 @@ def nnls(
         Design matrix.
     y : ndarray, shape (m,)
         Targets.
-    tol : float
-        Relative tolerance on the KKT residual.
-    max_iter : int, optional
-        Outer-iteration budget (default ``max(50, 10 n)``).
 
     Returns
     -------
@@ -61,22 +53,18 @@ def nnls(
     # feasible set, so solve the normalized problem and scale back.
     col_scale = np.abs(A).max(axis=0)
     col_scale[col_scale == 0.0] = 1.0
-    x = _active_set(A / col_scale, y, tol, max_iter)
+    x = _active_set(A / col_scale, y)
     return x / col_scale
 
 
-def _active_set(
-    A: np.ndarray, y: np.ndarray, tol: float, max_iter: int | None
-) -> np.ndarray:
-    m, n = A.shape
-    if max_iter is None:
-        max_iter = max(50, 10 * n)
+def _active_set(A: np.ndarray, y: np.ndarray) -> np.ndarray:
+    n = A.shape[1]
     scale = float(np.abs(A.T @ y).max(initial=0.0))
-    cutoff = tol * max(1.0, scale)
+    cutoff = _TOL * max(1.0, scale)
 
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(max(50, 10 * n)):
         grad = A.T @ (y - A @ x)
         candidates = np.where(passive, -np.inf, grad)
         j = int(np.argmax(candidates))
@@ -101,11 +89,7 @@ def _active_set(
             if not passive.any():
                 x = np.zeros(n)
                 break
-
-    x = _projected_gradient(A, y, x)
-    if kkt_residual(A, y, x) > 10 * tol:
-        raise NumericError("non-negative least squares failed to converge")
-    return x
+    raise NumericError("non-negative least squares failed to converge")
 
 
 def kkt_residual(A: np.ndarray, y: np.ndarray, x: np.ndarray) -> float:
@@ -124,27 +108,3 @@ def kkt_residual(A: np.ndarray, y: np.ndarray, x: np.ndarray) -> float:
     scale = np.maximum(np.linalg.norm(A, axis=0) * np.linalg.norm(y), 1e-300)
     violation = np.where(x > 0, np.abs(grad), np.maximum(-grad, 0.0))
     return float((violation / scale).max(initial=0.0))
-
-
-def _projected_gradient(
-    A: np.ndarray, y: np.ndarray, x0: np.ndarray, iters: int = 20000
-) -> np.ndarray:
-    """Accelerated projected gradient descent, used only as a fallback."""
-    gram = A.T @ A
-    aty = A.T @ y
-    lipschitz = float(np.linalg.norm(gram, 2))
-    if lipschitz == 0.0:
-        return np.zeros_like(x0)
-    step = 1.0 / lipschitz
-    x = np.maximum(x0, 0.0)
-    z = x.copy()
-    t = 1.0
-    for _ in range(iters):
-        x_next = np.maximum(z - step * (gram @ z - aty), 0.0)
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        z = x_next + ((t - 1.0) / t_next) * (x_next - x)
-        if float(np.abs(x_next - x).max()) <= 1e-16 * max(1.0, float(np.abs(x).max())):
-            x = x_next
-            break
-        x, t = x_next, t_next
-    return x

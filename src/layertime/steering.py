@@ -35,12 +35,11 @@ from .layers import (
     config_to_dict,
     derive_explanatory,
     derive_features,
-    expandable_features,
     explanatory_names,
     feature_names,
     width_fields,
 )
-from .tree import FORMAT_VERSION, ConditionKind, TimeModel
+from .tree import FORMAT_VERSION, ConditionKind, TimeModel, _parse_json
 
 __all__ = [
     "NetworkSpec",
@@ -75,6 +74,9 @@ ACCEPTANCE_RULE = "accept when expanded_time <= current_time"
 # width growth cap, as a multiple of the original coordinate
 _EXPANSION_CAP = 2
 
+# wall-clock limit on one external loss evaluation, in seconds
+_EVALUATOR_TIMEOUT_S = 600.0
+
 
 class NetworkFormatError(ValueError):
     """A serialized network document cannot be decoded."""
@@ -94,6 +96,15 @@ def _coupled_kinds(a: LayerKind, b: LayerKind) -> bool:
     return a in _DENSE_KINDS and b in _DENSE_KINDS
 
 
+def _shared_widths(layers: Sequence[StructureConfig]) -> list[tuple[int, str, str]]:
+    """``(i, output field of layer i, input field of layer i + 1)`` per coupled pair."""
+    return [
+        (i, width_fields(a.kind)[1], width_fields(b.kind)[0])
+        for i, (a, b) in enumerate(zip(layers, layers[1:]))
+        if _coupled_kinds(a.kind, b.kind)
+    ]
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
     """Ordered layer configurations with consistent shared widths."""
@@ -102,12 +113,8 @@ class NetworkSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "layers", tuple(self.layers))
-        for i in range(len(self.layers) - 1):
+        for i, out_field, in_field in _shared_widths(self.layers):
             a, b = self.layers[i], self.layers[i + 1]
-            if not _coupled_kinds(a.kind, b.kind):
-                continue
-            out_field = width_fields(a.kind)[1]
-            in_field = width_fields(b.kind)[0]
             if getattr(a, out_field) != getattr(b, in_field):
                 raise ValueError(
                     f"layers {i} and {i + 1} disagree on their shared width: "
@@ -173,7 +180,7 @@ def _walk_once(
     model: TimeModel, config: StructureConfig, original: StructureConfig
 ) -> tuple[StructureConfig, list[AcceptedExpansion]]:
     names = feature_names(model.kind)
-    expandable = set(expandable_features(model.kind))
+    expandable = set(width_fields(model.kind))
     current = config
     f = derive_features(current).as_array()
     x = derive_explanatory(current).as_array()
@@ -235,7 +242,7 @@ def expand_layer(
         raise ValueError(
             f"model fits {model.kind.value} layers, got {config.kind.value}"
         )
-    width_total = sum(getattr(config, name) for name in expandable_features(config.kind))
+    width_total = sum(getattr(config, name) for name in width_fields(config.kind))
     current = config
     accepted: list[AcceptedExpansion] = []
     for _ in range(_EXPANSION_CAP * width_total + 1):
@@ -281,12 +288,8 @@ def expand_network(
         entries.append(entry)
 
     conflicts: list[ConflictResolution] = []
-    for i in range(len(configs) - 1):
+    for i, out_field, in_field in _shared_widths(configs):
         a, b = configs[i], configs[i + 1]
-        if not _coupled_kinds(a.kind, b.kind):
-            continue
-        out_field = width_fields(a.kind)[1]
-        in_field = width_fields(b.kind)[0]
         upstream, downstream = getattr(a, out_field), getattr(b, in_field)
         if upstream == downstream:
             continue
@@ -440,7 +443,7 @@ def zero_pad_plan(old: NetworkSpec, new: NetworkSpec) -> tuple[LayerPadPlan, ...
     for i, (a, b) in enumerate(zip(old.layers, new.layers)):
         if a.kind is not b.kind:
             raise ValueError(f"layer {i} changes kind: {a.kind.value} -> {b.kind.value}")
-        widths = set(expandable_features(a.kind))
+        widths = set(width_fields(a.kind))
         for name in config_to_dict(a):
             if name == "kind" or name in widths:
                 continue
@@ -464,10 +467,6 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _net_key(net: NetworkSpec) -> tuple:
-    return tuple(tuple(sorted(config_to_dict(c).items())) for c in net.layers)
-
-
 class _Objective:
     """Caching, budget-limited view of the compression objective."""
 
@@ -477,19 +476,19 @@ class _Objective:
         self.lam = lam
         self.budget = budget
         self.calls = 0
-        self.cache: dict[tuple, float] = {}
+        # frozen configs make networks hashable, with field-wise equality
+        self.cache: dict[NetworkSpec, float] = {}
 
     def __call__(self, net: NetworkSpec) -> float:
-        key = _net_key(net)
-        if key not in self.cache:
+        if net not in self.cache:
             if self.calls >= self.budget:
                 raise _BudgetExhausted
             self.calls += 1
             loss = float(self.evaluator(net))
             if not math.isfinite(loss) or loss < 0:
                 raise EvaluationError(f"evaluator returned invalid loss {loss!r}")
-            self.cache[key] = loss
-        return self.cache[key] + self.lam * network_time(self.model_map, net)
+            self.cache[net] = loss
+        return self.cache[net] + self.lam * network_time(self.model_map, net)
 
 
 def _check_grid(net: NetworkSpec, width_grid: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -624,18 +623,13 @@ def rnn_time_floor(model: TimeModel, net: NetworkSpec) -> float:
 
 
 def network_to_dict(net: NetworkSpec) -> dict:
-    links = []
-    for i in range(len(net.layers) - 1):
-        a, b = net.layers[i], net.layers[i + 1]
-        if not _coupled_kinds(a.kind, b.kind):
-            continue
-        out_field = width_fields(a.kind)[1]
-        in_field = width_fields(b.kind)[0]
-        links.append({"src": i, "dst": i + 1, "field": f"{out_field}->{in_field}"})
     return {
         "format_version": FORMAT_VERSION,
         "layers": [config_to_dict(layer) for layer in net.layers],
-        "links": links,
+        "links": [
+            {"src": i, "dst": i + 1, "field": f"{out_field}->{in_field}"}
+            for i, out_field, in_field in _shared_widths(net.layers)
+        ],
     }
 
 
@@ -650,13 +644,16 @@ def network_from_dict(doc: dict) -> NetworkSpec:
         net = NetworkSpec(layers)
     except ValueError as exc:
         raise NetworkFormatError(str(exc)) from exc
-    for link in doc.get("links", ()):
-        try:
-            src, dst = int(link["src"]), int(link["dst"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise NetworkFormatError(f"malformed link: {link!r}") from exc
-        if not (0 <= src < len(layers) and 0 <= dst < len(layers)):
-            raise NetworkFormatError(f"link points outside the network: {link!r}")
+    # links are derived from layer order; a listed one must be one of them
+    links = doc.get("links", [])
+    if not isinstance(links, list):
+        raise NetworkFormatError("'links' must be a list")
+    derived = network_to_dict(net)["links"]
+    for link in links:
+        if link not in derived:
+            raise NetworkFormatError(
+                f"link {link!r} does not join adjacent layers by their shared width"
+            )
     return net
 
 
@@ -665,13 +662,7 @@ def save_network(net: NetworkSpec) -> bytes:
 
 
 def load_network(data: bytes | str) -> NetworkSpec:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8", errors="replace")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise NetworkFormatError(f"not valid JSON: {exc}") from exc
-    return network_from_dict(doc)
+    return network_from_dict(_parse_json(data, NetworkFormatError))
 
 
 class CommandEvaluator:
@@ -679,7 +670,8 @@ class CommandEvaluator:
 
     The command is invoked with the path of a network file appended to its
     arguments and must print a single non-negative loss on stdout; a
-    nonzero exit status is an evaluation failure.
+    nonzero exit status, or running longer than ten minutes, is an
+    evaluation failure.
     """
 
     def __init__(self, command: str | Sequence[str]):
@@ -691,9 +683,17 @@ class CommandEvaluator:
         with tempfile.TemporaryDirectory(prefix="layertime-eval-") as workdir:
             path = Path(workdir) / "network.json"
             path.write_bytes(save_network(net))
-            proc = subprocess.run(
-                [*self.argv, str(path)], capture_output=True, text=True
-            )
+            try:
+                proc = subprocess.run(
+                    [*self.argv, str(path)],
+                    capture_output=True,
+                    text=True,
+                    timeout=_EVALUATOR_TIMEOUT_S,
+                )
+            except subprocess.TimeoutExpired as exc:
+                raise EvaluationError(
+                    f"evaluator did not finish within {exc.timeout:g} s"
+                ) from exc
         if proc.returncode != 0:
             raise EvaluationError(
                 f"evaluator exited with status {proc.returncode}: {proc.stderr.strip()}"

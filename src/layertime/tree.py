@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -85,6 +86,8 @@ class Condition:
     def __post_init__(self) -> None:
         if self.feature_index < 0:
             raise ValueError("feature_index must be >= 0")
+        if not math.isfinite(self.tau):
+            raise ValueError(f"condition needs a finite tau, got {self.tau}")
         if self.kind is ConditionKind.MULTIPLE:
             if self.tau != int(self.tau) or self.tau < 2:
                 raise ValueError(f"multiple condition needs integer tau >= 2, got {self.tau}")
@@ -178,6 +181,8 @@ class LinearFit:
     def __post_init__(self) -> None:
         w = np.asarray(self.w, dtype=float)
         object.__setattr__(self, "w", w)
+        if not (np.isfinite(w).all() and math.isfinite(self.b)):
+            raise ValueError("weights and intercept must be finite")
         if w.size and w.min() < 0:
             raise ValueError("weights must be non-negative")
         if self.b < 0:
@@ -196,7 +201,6 @@ class FitParams:
     max_depth: int = 12
     multiple_taus: tuple[int, ...] = (2, 3, 4, 6, 8, 16, 32, 64, 128)
     range_quantiles: int = 16
-    noise_seed: int = 0  # reserved for randomized subroutines; fitting is deterministic
 
     def __post_init__(self) -> None:
         if self.mape_stop <= 0:
@@ -560,7 +564,6 @@ def model_to_dict(model: TimeModel) -> dict:
             "max_depth": params.max_depth,
             "multiple_taus": list(params.multiple_taus),
             "range_quantiles": params.range_quantiles,
-            "noise_seed": params.noise_seed,
         },
         "nodes": nodes,
     }
@@ -578,6 +581,7 @@ def _check_version(doc: dict) -> None:
 
 
 def _fit_params_from_dict(doc: dict) -> FitParams:
+    # unknown keys, such as the noise_seed of older files, are ignored
     defaults = FitParams()
     return FitParams(
         mape_stop=doc.get("mape_stop", defaults.mape_stop),
@@ -585,7 +589,6 @@ def _fit_params_from_dict(doc: dict) -> FitParams:
         max_depth=doc.get("max_depth", defaults.max_depth),
         multiple_taus=tuple(doc.get("multiple_taus", defaults.multiple_taus)),
         range_quantiles=doc.get("range_quantiles", defaults.range_quantiles),
-        noise_seed=doc.get("noise_seed", defaults.noise_seed),
     )
 
 
@@ -600,6 +603,9 @@ def model_from_dict(doc: dict) -> TimeModel:
         raise ModelFormatError(f"malformed model document: {exc}") from exc
     if not node_docs:
         raise ModelFormatError("model document has no nodes")
+    # fitted trees may hold any width; a stored one must match its kind
+    n_features = len(feature_names(kind))
+    n_vars = len(explanatory_names(kind))
 
     def build(node_id: int, seen: set[int]) -> Node:
         if node_id in seen:
@@ -626,8 +632,17 @@ def model_from_dict(doc: dict) -> TimeModel:
                     kind=ConditionKind(cd["kind"]),
                 )
             left_id, right_id = nd.get("left"), nd.get("right")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelFormatError(f"malformed node {node_id}: {exc}") from exc
+        if fit.w.shape != (n_vars,):
+            raise ModelFormatError(
+                f"node {node_id}: {kind.value} fits need {n_vars} weights, got {fit.w.size}"
+            )
+        if condition is not None and condition.feature_index >= n_features:
+            raise ModelFormatError(
+                f"node {node_id}: feature {condition.feature_index} is out of range "
+                f"for the {n_features} {kind.value} features"
+            )
         if (left_id is None) != (right_id is None):
             raise ModelFormatError(f"node {node_id} has exactly one child")
         node = Node(fit=fit, condition=condition)
@@ -650,14 +665,18 @@ def save_model(model: TimeModel) -> bytes:
     return json.dumps(model_to_dict(model), sort_keys=True, indent=1).encode("utf-8")
 
 
-def load_model(data: bytes | str) -> TimeModel:
+def _parse_json(data: bytes | str, error: type[ValueError]):
+    """Decode a JSON document, raising ``error`` when it is not valid JSON."""
     if isinstance(data, bytes):
         data = data.decode("utf-8", errors="replace")
     try:
-        doc = json.loads(data)
+        return json.loads(data)
     except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"not valid JSON: {exc}") from exc
-    return model_from_dict(doc)
+        raise error(f"not valid JSON: {exc}") from exc
+
+
+def load_model(data: bytes | str) -> TimeModel:
+    return model_from_dict(_parse_json(data, ModelFormatError))
 
 
 def save_models(models: dict[LayerKind, TimeModel]) -> bytes:
@@ -669,24 +688,27 @@ def save_models(models: dict[LayerKind, TimeModel]) -> bytes:
     return json.dumps(doc, sort_keys=True, indent=1).encode("utf-8")
 
 
-def load_models(data: bytes | str) -> dict[LayerKind, TimeModel]:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8", errors="replace")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"not valid JSON: {exc}") from exc
+def _models_from_dict(doc) -> dict[LayerKind, TimeModel]:
+    """The kind-keyed models of a versioned document with a ``models`` list."""
     if not isinstance(doc, dict):
         raise ModelFormatError("model file must be a JSON object")
-    if "models" not in doc:
-        # single-model document
-        model = model_from_dict(doc)
-        return {model.kind: model}
     _check_version(doc)
+    entries = doc.get("models")
+    if not isinstance(entries, list):
+        raise ModelFormatError("'models' must be a list of model documents")
     models: dict[LayerKind, TimeModel] = {}
-    for entry in doc["models"]:
+    for entry in entries:
         model = model_from_dict(entry)
         if model.kind in models:
             raise ModelFormatError(f"duplicate model for kind {model.kind.value}")
         models[model.kind] = model
     return models
+
+
+def load_models(data: bytes | str) -> dict[LayerKind, TimeModel]:
+    doc = _parse_json(data, ModelFormatError)
+    if isinstance(doc, dict) and "models" not in doc:
+        # single-model document
+        model = model_from_dict(doc)
+        return {model.kind: model}
+    return _models_from_dict(doc)

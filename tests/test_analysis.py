@@ -1,9 +1,14 @@
 """Significance tests, channel polynomials, safe regions, simplified models."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import (
@@ -16,6 +21,7 @@ from conftest import (
     leaf,
 )
 from layertime.analysis import (
+    _t_two_sided_pvalue,
     ChannelPolynomial,
     ConvGeometry,
     ExpansionRegion,
@@ -131,6 +137,37 @@ def test_collinear_column_reported_degenerate():
     degenerate = [v for v in report.variables if v.degenerate]
     assert degenerate
     assert all(v.p_value == 1.0 for v in degenerate)
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=st.floats(-40.0, 40.0), dof=st.integers(1, 10_000))
+def test_t_pvalue_matches_scipy(t, dof):
+    if abs(t) < 1e-6:
+        # scipy's t.sf is off by up to 3e-9 relative for |t| in (1e-9, 1e-7);
+        # here the series 1 - 2|t| f(0) is exact to double precision
+        reference = 1.0 - 2.0 * abs(t) * stats.t.pdf(0.0, dof)
+    else:
+        reference = 2.0 * stats.t.sf(abs(t), dof)
+    # both sides underflow to subnormals or zero near the domain's corner
+    assert _t_two_sided_pvalue(t, dof) == pytest.approx(reference, rel=1e-9, abs=1e-300)
+
+
+def test_pvalues_never_import_scipy():
+    probe = (
+        "import sys; import numpy as np; "
+        "from layertime.analysis import coefficient_pvalues; "
+        "from layertime.layers import LayerKind; from layertime.tree import Dataset; "
+        "rng = np.random.default_rng(2); x = rng.uniform(1.0, 50.0, size=(80, 3)); "
+        "y = x @ [0.5, 0.05, 0.0] + 2.0 + rng.normal(size=80); "
+        "report = coefficient_pvalues(Dataset(LayerKind.FC, x, x, y)); "
+        "print(all(0.0 < v.p_value < 1.0 for v in report.variables), "
+        "any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert result.stdout.split() == ["True", "False"]
 
 
 def test_too_few_records_is_an_error():

@@ -9,7 +9,14 @@ import pytest
 
 from conftest import two_leaf_channel_model, leaf
 from layertime.cli import main
-from layertime.harness import default_oracle, generate_plan, synth_profile, write_profile
+from layertime.harness import (
+    default_oracle,
+    generate_plan,
+    load_oracle,
+    save_oracle,
+    synth_profile,
+    write_profile,
+)
 from layertime.layers import LayerKind, cnn, config_to_dict, fc
 from layertime.steering import (
     CommandEvaluator,
@@ -18,7 +25,7 @@ from layertime.steering import (
     load_network,
     save_network,
 )
-from layertime.tree import TimeModel, load_models, save_models
+from layertime.tree import ModelFormatError, TimeModel, load_models, save_models
 
 
 def write_reference_model(tmp_path):
@@ -184,6 +191,40 @@ def test_data_errors_exit_two(tmp_path, capsys):
     assert main(["predict", "--model", str(bad_model), "--config", str(config_path)]) == 2
     err = capsys.readouterr().err
     assert "error: data:" in err
+
+
+def _mutate_cnn_root(doc, mutation):
+    cnn_doc = next(m for m in doc["models"] if m["layer_kind"] == "CNN")
+    root = cnn_doc["nodes"][0]
+    if mutation == "feature 99":
+        root["cond"]["feature"] = 99
+    elif mutation == "range tau NaN":
+        root["cond"] = {**root["cond"], "kind": "range", "tau": float("nan")}
+    elif mutation == "NaN weights":
+        root["w"] = [float("nan")] * len(root["w"])
+    else:
+        root["w"] = root["w"][:1]
+
+
+@pytest.mark.parametrize(
+    "mutation", ["feature 99", "range tau NaN", "NaN weights", "1-element weights"]
+)
+def test_invalid_model_values_are_data_errors(tmp_path, capsys, mutation):
+    oracle_doc = json.loads(save_oracle(default_oracle()))
+    _mutate_cnn_root(oracle_doc, mutation)
+    payload = json.dumps(oracle_doc)
+    with pytest.raises(ModelFormatError):
+        load_models(payload)
+    with pytest.raises(ModelFormatError):
+        load_oracle(payload)
+    model_path = tmp_path / "model.json"
+    model_path.write_text(payload)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config_to_dict(cnn(24, 24, 3, 3, 43, 64))))
+    assert main(["predict", "--model", str(model_path), "--config", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: data: ") and "node 0" in captured.err
 
 
 def test_infinite_profile_time_exits_two(tmp_path, capsys):

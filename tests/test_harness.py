@@ -1,5 +1,7 @@
 """Plan generation, synthetic oracle sampling, and profile file round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,14 @@ from layertime.harness import (
     write_profile,
 )
 from layertime.layers import LayerKind, cnn, derive_features, fc, gru
-from layertime.tree import Condition, ConditionKind, Dataset, TimeModel, fit_tree
+from layertime.tree import (
+    Condition,
+    ConditionKind,
+    Dataset,
+    ModelFormatError,
+    TimeModel,
+    fit_tree,
+)
 
 
 # --- plans ---------------------------------------------------------------------
@@ -253,6 +262,17 @@ def test_oracle_file_round_trip():
     assert restored.models[LayerKind.CNN].predict(config) == oracle.models[
         LayerKind.CNN
     ].predict(config)
+
+
+@pytest.mark.parametrize("defect", ["version 9.0", "duplicate kind"])
+def test_oracle_document_checked_like_a_model_file(defect):
+    doc = json.loads(save_oracle(default_oracle()))
+    if defect == "version 9.0":
+        doc["format_version"] = "9.0"
+    else:
+        doc["models"].append(doc["models"][0])
+    with pytest.raises(ModelFormatError):
+        load_oracle(json.dumps(doc))
 
 
 def test_default_oracle_shape():

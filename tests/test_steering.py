@@ -1,5 +1,9 @@
 """Layer expansion, network expansion, padding plans, and compression search."""
 
+import json
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,14 +19,20 @@ from conftest import (
     two_leaf_channel_model,
 )
 from layertime.layers import LayerKind, cnn, derive_explanatory, fc, gru, lstm
+from layertime import steering
 from layertime.steering import (
+    CommandEvaluator,
+    EvaluationError,
+    NetworkFormatError,
     NetworkSpec,
     brute_force_compress,
     expand_layer,
     expand_network,
     greedy_compress,
+    load_network,
     network_time,
     rnn_time_floor,
+    save_network,
     time_aware_objective,
     zero_pad_plan,
 )
@@ -224,6 +234,46 @@ def test_network_spec_validates_adjacency():
         NetworkSpec((cnn(24, 24, 3, 3, 3, 8), cnn(24, 24, 3, 3, 9, 16)))
     # mixed families are not width-coupled
     NetworkSpec((cnn(24, 24, 3, 3, 3, 8), fc(100, 10)))
+
+
+# --- network files and evaluators ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "link",
+    [
+        {"src": 0, "dst": 1, "field": "bogus"},
+        {"src": 0, "dst": 2, "field": "out_channel->in_channel"},
+        {"src": 1, "dst": 2, "field": "out_channel->in_dim"},
+    ],
+    ids=["bogus field", "non-adjacent", "uncoupled kinds"],
+)
+def test_network_links_must_match_layer_order(link):
+    net = NetworkSpec((cnn(24, 24, 3, 3, 3, 8), cnn(24, 24, 3, 3, 8, 16), fc(100, 10)))
+    payload = save_network(net)
+    assert load_network(payload) == net
+    doc = json.loads(payload)
+    assert doc["links"] == [{"src": 0, "dst": 1, "field": "out_channel->in_channel"}]
+    doc["links"].append(link)
+    with pytest.raises(NetworkFormatError):
+        load_network(json.dumps(doc))
+
+
+def test_evaluator_timeout_kills_child_and_removes_workdir(tmp_path, monkeypatch):
+    monkeypatch.setattr(steering, "_EVALUATOR_TIMEOUT_S", 1.0)
+    record = tmp_path / "child.txt"
+    script = (
+        "import os, sys, time; "
+        f"open({str(record)!r}, 'w').write(f'{{os.getpid()}} {{sys.argv[1]}}'); "
+        "time.sleep(60)"
+    )
+    evaluator = CommandEvaluator([sys.executable, "-c", script])
+    with pytest.raises(EvaluationError, match="did not finish"):
+        evaluator(NetworkSpec((fc(3, 5),)))
+    pid, network_path = record.read_text().split(" ", 1)
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid), 0)
+    assert not os.path.exists(os.path.dirname(network_path))
 
 
 # --- zero_pad_plan ----------------------------------------------------------------

@@ -445,6 +445,17 @@ def test_older_minor_version_defaults_new_fields():
     assert model.predict(cnn(24, 24, 3, 3, 44, 64)) == pytest.approx(10.27, abs=0.05)
 
 
+def test_noise_seed_of_older_files_is_ignored():
+    doc = model_to_dict(planted_depth2_model())
+    assert "noise_seed" not in doc["fit_params"]
+    doc["fit_params"]["noise_seed"] = 5
+    import json
+
+    model = load_model(json.dumps(doc))
+    assert model.fit_params == FitParams()
+    assert save_model(model) == save_model(planted_depth2_model())
+
+
 def test_wrong_major_version_rejected():
     doc = model_to_dict(planted_depth2_model())
     doc["format_version"] = "2.0"
