@@ -191,8 +191,8 @@ class SyntheticOracle:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.noise < 0:
-            raise ValueError("noise must be >= 0")
+        if not 0 <= self.noise < math.inf:
+            raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
 
 
 def _config_rng(seed: int, config: StructureConfig) -> np.random.Generator:

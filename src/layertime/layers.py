@@ -283,15 +283,14 @@ def width_fields(kind: LayerKind) -> tuple[str, str]:
     return ("in_dim", "out_dim")
 
 
-def _memory_features(config: StructureConfig) -> dict[str, int]:
+def _derived(config: StructureConfig) -> tuple[int, int, int, int, int]:
+    """``(mem_in, mem_out, mem_inter, param_size, flops)`` of a configuration."""
     kind = config.kind
     if kind is LayerKind.FC:
-        return {
-            "param_size": config.in_dim * config.out_dim + config.out_dim,
-            "mem_in": config.in_dim,
-            "mem_out": config.out_dim,
-            "mem_inter": 0,
-        }
+        in_dim, out_dim = config.in_dim, config.out_dim
+        param_size = in_dim * out_dim + out_dim
+        # flops: a multiply-add per weight plus the bias add
+        return in_dim, out_dim, 0, param_size, 2 * in_dim * out_dim + out_dim
     if kind is LayerKind.CNN:
         out_h, out_w = conv_output_dims(
             config.in_height,
@@ -302,63 +301,33 @@ def _memory_features(config: StructureConfig) -> dict[str, int]:
             config.padding,
         )
         kernel = config.kernel_height * config.kernel_width
-        return {
-            "param_size": kernel * config.in_channel * config.out_channel + 1,
-            "mem_in": config.in_height * config.in_width * config.in_channel,
-            "mem_out": out_h * out_w * config.out_channel,
-            "mem_inter": out_h * out_w * kernel * config.in_channel,
-        }
+        return (
+            config.in_height * config.in_width * config.in_channel,
+            out_h * out_w * config.out_channel,
+            out_h * out_w * kernel * config.in_channel,
+            kernel * config.in_channel * config.out_channel + 1,
+            2 * out_h * out_w * kernel * config.in_channel * config.out_channel,
+        )
+    step, in_dim, out_dim = config.step, config.in_dim, config.out_dim
     if kind is LayerKind.GRU:
-        return {
-            "param_size": 3 * config.out_dim * (config.in_dim + config.out_dim + 1),
-            "mem_in": config.step * config.in_dim,
-            "mem_out": config.step * config.out_dim,
-            "mem_inter": 3 * config.step * config.out_dim,
-        }
-    return {
-        "param_size": 4 * config.out_dim * (config.in_dim + config.out_dim + 1),
-        "mem_in": 2 * config.step * config.in_dim,
-        "mem_out": 2 * config.step * config.out_dim,
-        "mem_inter": 4 * config.step * config.out_dim,
-    }
+        param_size = 3 * out_dim * (in_dim + out_dim + 1)
+        memory = (step * in_dim, step * out_dim, 3 * step * out_dim)
+    else:
+        param_size = 4 * out_dim * (in_dim + out_dim + 1)
+        memory = (2 * step * in_dim, 2 * step * out_dim, 4 * step * out_dim)
+    # recurrent: the gate matrix-vector multiply-adds dominate every step
+    return (*memory, param_size, 2 * step * param_size)
 
 
 def derive_features(config: StructureConfig) -> FeatureVector:
     """Feature vector of a configuration: structural fields plus memory sizes."""
-    memory = _memory_features(config)
     values: list[float] = []
     for name in _FIELDS_BY_KIND[config.kind]:
         raw = getattr(config, name)
         values.append(float(PADDING_CODES[raw] if name == "padding" else raw))
-    values.extend(float(memory[name]) for name in _MEMORY_FEATURES)
+    # the first four derived values are the memory features, in their order
+    values.extend(float(v) for v in _derived(config)[:4])
     return FeatureVector(kind=config.kind, values=tuple(values))
-
-
-def _flops(config: StructureConfig, param_size: int) -> int:
-    kind = config.kind
-    if kind is LayerKind.FC:
-        # multiply-add per weight plus the bias add
-        return 2 * config.in_dim * config.out_dim + config.out_dim
-    if kind is LayerKind.CNN:
-        out_h, out_w = conv_output_dims(
-            config.in_height,
-            config.in_width,
-            config.kernel_height,
-            config.kernel_width,
-            config.stride,
-            config.padding,
-        )
-        return (
-            2
-            * out_h
-            * out_w
-            * config.kernel_height
-            * config.kernel_width
-            * config.in_channel
-            * config.out_channel
-        )
-    # recurrent: the gate matrix-vector multiply-adds dominate every step
-    return 2 * config.step * param_size
 
 
 def derive_explanatory(config: StructureConfig) -> ExplanatoryVector:
@@ -367,14 +336,12 @@ def derive_explanatory(config: StructureConfig) -> ExplanatoryVector:
     ``mem`` is the sum of the three memory features; ``step`` is copied
     through for recurrent kinds only.
     """
-    memory = _memory_features(config)
-    mem = memory["mem_in"] + memory["mem_out"] + memory["mem_inter"]
-    flops = _flops(config, memory["param_size"])
+    mem_in, mem_out, mem_inter, param_size, flops = _derived(config)
     step = float(config.step) if config.kind in RECURRENT_KINDS else None
     return ExplanatoryVector(
         flops=float(flops),
-        mem=float(mem),
-        param_size=float(memory["param_size"]),
+        mem=float(mem_in + mem_out + mem_inter),
+        param_size=float(param_size),
         step=step,
     )
 
@@ -390,6 +357,8 @@ def config_to_dict(config: StructureConfig) -> dict:
 
 def config_from_dict(record: dict) -> StructureConfig:
     """Decode the canonical flat encoding; unknown fields are an error."""
+    if not isinstance(record, dict):
+        raise ValueError(f"config record must be an object, got {type(record).__name__}")
     if "kind" not in record:
         raise ValueError("config record is missing 'kind'")
     try:

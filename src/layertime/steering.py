@@ -3,10 +3,11 @@
 Expansion walks a fitted condition tree, rounding width coordinates up to
 the moduli of multiple-condition nodes whenever the node's own fits say
 the rounded structure runs no slower.  Whole networks are expanded layer
-by layer with width conflicts between neighbours resolved by total
-predicted time.  Compression couples an external loss evaluator with the
-predicted network time into one objective and searches layer widths by
-coordinate descent (or exhaustively, as a test oracle).
+by layer, pricing each layer once; a width conflict between neighbours
+re-prices only the layer each choice changes and keeps the choice with
+the smaller total predicted time.  Compression couples an external loss
+evaluator with the predicted network time into one objective and searches
+layer widths by coordinate descent (or exhaustively, as a test oracle).
 
 Expansion is pure given an immutable model.  Evaluator calls are assumed
 expensive and side-effect-free; the search invokes the evaluator at most
@@ -199,8 +200,8 @@ def _walk_once(
         target = tau * math.ceil(value / tau)
         if target == value:
             # already on the multiple: branch toward the cheaper sibling fit
-            expanded_time = float(x @ node.left.fit.w + node.left.fit.b)
-            current_time = float(x @ node.right.fit.w + node.right.fit.b)
+            expanded_time = float(node.left.fit.predict(x))
+            current_time = float(node.right.fit.predict(x))
             node = node.left if expanded_time <= current_time else node.right
             continue
         field = names[cond.feature_index]
@@ -208,8 +209,8 @@ def _walk_once(
             candidate = dc_replace(current, **{field: int(target)})
             f_hat = derive_features(candidate).as_array()
             x_hat = derive_explanatory(candidate).as_array()
-            expanded_time = float(x_hat @ node.left.fit.w + node.left.fit.b)
-            current_time = float(x @ node.right.fit.w + node.right.fit.b)
+            expanded_time = float(node.left.fit.predict(x_hat))
+            current_time = float(node.right.fit.predict(x))
             if expanded_time <= current_time and _obeys_trail(trail, f_hat):
                 accepted.append(
                     AcceptedExpansion(
@@ -274,52 +275,51 @@ def expand_network(
 ) -> tuple[NetworkSpec, ExpansionTrace]:
     """Expand every layer, then reconcile neighbouring width conflicts.
 
-    Layers are processed in order.  When an expanded output width and the
-    next layer's expanded input width disagree, both consistent choices
-    are priced over the whole network and the cheaper one is kept.  The
+    Layers are processed in order, and each layer's predicted time is kept.
+    When an expanded output width and the next layer's expanded input
+    width disagree, each consistent choice re-prices only the one layer it
+    changes, and the choice with the smaller network total is kept.  The
     result is adjacency-consistent and never predicts slower in total than
     the input network.
     """
-    entries: list[LayerExpansion] = []
-    configs: list[StructureConfig] = []
-    for layer in net.layers:
-        expanded, entry = expand_layer(_model_for(model_map, layer.kind), layer)
-        configs.append(expanded)
-        entries.append(entry)
+    entries = [
+        expand_layer(_model_for(model_map, layer.kind), layer)[1] for layer in net.layers
+    ]
+    configs = [entry.expanded for entry in entries]
+    times = [entry.time_after for entry in entries]
 
     conflicts: list[ConflictResolution] = []
     for i, out_field, in_field in _shared_widths(configs):
-        a, b = configs[i], configs[i + 1]
-        upstream, downstream = getattr(a, out_field), getattr(b, in_field)
+        upstream = getattr(configs[i], out_field)
+        downstream = getattr(configs[i + 1], in_field)
         if upstream == downstream:
             continue
-        keep_upstream = list(configs)
-        keep_upstream[i + 1] = dc_replace(b, **{in_field: upstream})
-        keep_downstream = list(configs)
-        keep_downstream[i] = dc_replace(a, **{out_field: downstream})
-        time_upstream = _total_time(model_map, keep_upstream)
-        time_downstream = _total_time(model_map, keep_downstream)
-        if time_downstream < time_upstream:
-            configs = keep_downstream
-            kept = "downstream"
-        else:
-            configs = keep_upstream
-            kept = "upstream"
+        options, totals = {}, {}
+        for name, j, changes in (
+            ("upstream", i + 1, {in_field: upstream}),
+            ("downstream", i, {out_field: downstream}),
+        ):
+            # only layer j changes, so only it is re-priced
+            option_configs, option_times = list(configs), list(times)
+            option_configs[j] = dc_replace(configs[j], **changes)
+            option_times[j] = _model_for(model_map, configs[j].kind).predict(option_configs[j])
+            options[name] = (option_configs, option_times)
+            totals[name] = sum(option_times)
+        kept = "downstream" if totals["downstream"] < totals["upstream"] else "upstream"
+        configs, times = options[kept]
         conflicts.append(
             ConflictResolution(
                 junction=i,
                 upstream_width=upstream,
                 downstream_width=downstream,
-                time_with_upstream=time_upstream,
-                time_with_downstream=time_downstream,
+                time_with_upstream=totals["upstream"],
+                time_with_downstream=totals["downstream"],
                 kept=kept,
             )
         )
 
     expanded_net = NetworkSpec(tuple(configs))
-    time_before = network_time(model_map, net)
-    time_after = network_time(model_map, expanded_net)
-    reverted = time_after > time_before
+    reverted = sum(times) > sum(entry.time_before for entry in entries)
     if reverted:
         expanded_net = net
     trace = ExpansionTrace(
@@ -328,15 +328,9 @@ def expand_network(
     return expanded_net, trace
 
 
-def _total_time(
-    model_map: Mapping[LayerKind, TimeModel], configs: Sequence[StructureConfig]
-) -> float:
-    return sum(_model_for(model_map, c.kind).predict(c) for c in configs)
-
-
 def network_time(model_map: Mapping[LayerKind, TimeModel], net: NetworkSpec) -> float:
     """Total predicted execution time of a network, in milliseconds."""
-    return _total_time(model_map, net.layers)
+    return sum(_model_for(model_map, c.kind).predict(c) for c in net.layers)
 
 
 def _check_lam(lam: float) -> None:
@@ -487,8 +481,8 @@ class _Objective:
             loss = float(self.evaluator(net))
             if not math.isfinite(loss) or loss < 0:
                 raise EvaluationError(f"evaluator returned invalid loss {loss!r}")
-            self.cache[net] = loss
-        return self.cache[net] + self.lam * network_time(self.model_map, net)
+            self.cache[net] = loss + self.lam * network_time(self.model_map, net)
+        return self.cache[net]
 
 
 def _check_grid(net: NetworkSpec, width_grid: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -271,8 +271,7 @@ class TimeModel:
                 f"model fits {self.kind.value} layers, got {config.kind.value}"
             )
         leaf = self.route_features(derive_features(config).as_array())
-        x = derive_explanatory(config).as_array()
-        return float(x @ leaf.fit.w + leaf.fit.b)
+        return float(leaf.fit.predict(derive_explanatory(config).as_array()))
 
     def predict_rows(self, features: np.ndarray, explanatory: np.ndarray) -> np.ndarray:
         """Vector of predictions for pre-derived feature/explanatory rows."""
@@ -280,8 +279,7 @@ class TimeModel:
         explanatory = np.atleast_2d(explanatory)
         out = np.empty(features.shape[0])
         for i in range(features.shape[0]):
-            leaf = self.route_features(features[i])
-            out[i] = explanatory[i] @ leaf.fit.w + leaf.fit.b
+            out[i] = self.route_features(features[i]).fit.predict(explanatory[i])
         return out
 
 
@@ -581,6 +579,8 @@ def _check_version(doc: dict) -> None:
 
 
 def _fit_params_from_dict(doc: dict) -> FitParams:
+    if not isinstance(doc, dict):
+        raise ModelFormatError("'fit_params' must be an object")
     # unknown keys, such as the noise_seed of older files, are ignored
     defaults = FitParams()
     return FitParams(
@@ -656,7 +656,7 @@ def model_from_dict(doc: dict) -> TimeModel:
         return TimeModel(
             kind=kind, root=root, fit_params=_fit_params_from_dict(doc.get("fit_params", {}))
         )
-    except ValueError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(str(exc)) from exc
 
 

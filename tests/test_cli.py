@@ -10,14 +10,16 @@ import pytest
 from conftest import two_leaf_channel_model, leaf
 from layertime.cli import main
 from layertime.harness import (
+    ProfileFormatError,
     default_oracle,
     generate_plan,
     load_oracle,
+    load_plan,
     save_oracle,
     synth_profile,
     write_profile,
 )
-from layertime.layers import LayerKind, cnn, config_to_dict, fc
+from layertime.layers import LayerKind, cnn, config_from_dict, config_to_dict, fc
 from layertime.steering import (
     CommandEvaluator,
     NetworkSpec,
@@ -225,6 +227,47 @@ def test_invalid_model_values_are_data_errors(tmp_path, capsys, mutation):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: data: ") and "node 0" in captured.err
+
+
+@pytest.mark.parametrize("record", ["5", "null", "[1]", '"x"'])
+def test_non_object_config_record_is_a_data_error(tmp_path, capsys, record):
+    with pytest.raises(ValueError, match="object"):
+        config_from_dict(json.loads(record))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(record)
+    model_path = write_reference_model(tmp_path)
+    assert main(["predict", "--model", str(model_path), "--config", str(config_path)]) == 2
+    plan_path = tmp_path / "plan.jsonl"
+    plan_path.write_text(json.dumps(config_to_dict(fc(2, 1))) + "\n" + record + "\n")
+    with pytest.raises(ProfileFormatError, match=":2:"):
+        load_plan(plan_path)
+    out = tmp_path / "profile.jsonl"
+    assert main(["synth", "--plan", str(plan_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error: data: ") == 2 and "Traceback" not in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "fit_params",
+    [[1], {"min_leaf": "x"}, {"multiple_taus": 5}, {"multiple_taus": [1e400]}],
+    ids=["list", "str min_leaf", "int multiple_taus", "overflowing tau"],
+)
+def test_malformed_fit_params_are_data_errors(tmp_path, capsys, fit_params):
+    doc = json.loads(save_models({LayerKind.CNN: two_leaf_channel_model()}))
+    doc["models"][0]["fit_params"] = fit_params
+    payload = json.dumps(doc)
+    with pytest.raises(ModelFormatError):
+        load_models(payload)
+    model_path = tmp_path / "model.json"
+    model_path.write_text(payload)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config_to_dict(cnn(24, 24, 3, 3, 43, 64))))
+    assert main(["predict", "--model", str(model_path), "--config", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: data: ")
 
 
 def test_infinite_profile_time_exits_two(tmp_path, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import leaf
+from layertime.cli import main
 from layertime.harness import (
     ProfileFormatError,
     ProfileSample,
@@ -273,6 +274,27 @@ def test_oracle_document_checked_like_a_model_file(defect):
         doc["models"].append(doc["models"][0])
     with pytest.raises(ModelFormatError):
         load_oracle(json.dumps(doc))
+
+
+@pytest.mark.parametrize("noise", [float("nan"), float("inf")])
+def test_non_finite_oracle_noise_rejected(tmp_path, capsys, noise):
+    with pytest.raises(ValueError, match="noise"):
+        SyntheticOracle(models=default_oracle().models, noise=noise)
+    doc = json.loads(save_oracle(default_oracle()))
+    doc["noise"] = noise
+    payload = json.dumps(doc)
+    with pytest.raises(ModelFormatError, match="noise"):
+        load_oracle(payload)
+    oracle_path = tmp_path / "oracle.json"
+    oracle_path.write_text(payload)
+    plan_path = tmp_path / "plan.jsonl"
+    save_plan([fc(3, 5)], plan_path)
+    out = tmp_path / "profile.jsonl"
+    code = main(["synth", "--plan", str(plan_path), "--oracle", str(oracle_path),
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: data: ")
+    assert not out.exists()
 
 
 def test_default_oracle_shape():

@@ -18,6 +18,7 @@ from conftest import (
     random_tree_model,
     two_leaf_channel_model,
 )
+from layertime.harness import default_oracle
 from layertime.layers import LayerKind, cnn, derive_explanatory, fc, gru, lstm
 from layertime import steering
 from layertime.steering import (
@@ -221,6 +222,39 @@ def test_network_expansion_never_slower_on_random_instances():
         expanded, _ = expand_network(models, net)
         NetworkSpec(expanded.layers)  # adjacency re-validated
         assert network_time(models, expanded) <= network_time(models, net)
+
+
+def default_oracle_chain():
+    """The default oracle's models and a 64-layer 24x24 CNN chain of random widths."""
+    rng = np.random.default_rng(4)
+    widths = [int(w) for w in rng.integers(4, 129, size=65)]
+    net = NetworkSpec(tuple(cnn(24, 24, 3, 3, widths[i], widths[i + 1]) for i in range(64)))
+    return dict(default_oracle().models), net
+
+
+def test_long_chain_prices_each_layer_once(monkeypatch):
+    models, net = default_oracle_chain()
+    calls = []
+    predict = TimeModel.predict
+
+    def counting_predict(self, config):
+        calls.append(config)
+        return predict(self, config)
+
+    monkeypatch.setattr(TimeModel, "predict", counting_predict)
+    _, trace = expand_network(models, net)
+    assert len(trace.conflicts) == 48
+    # before and after per layer, then one re-priced layer per conflict option
+    assert len(calls) == 2 * len(net) + 2 * len(trace.conflicts) == 224
+
+
+def test_long_chain_total_is_the_last_conflicts_choice():
+    models, net = default_oracle_chain()
+    expanded, trace = expand_network(models, net)
+    assert not trace.reverted and expanded != net
+    last = trace.conflicts[-1]
+    chosen = last.time_with_downstream if last.kept == "downstream" else last.time_with_upstream
+    assert network_time(models, expanded) == chosen
 
 
 def test_missing_model_is_an_error(reference_model):
