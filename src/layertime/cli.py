@@ -198,13 +198,16 @@ def _split_dataset(dataset: Dataset, rng: np.random.Generator) -> tuple[Dataset,
 
 
 def _cmd_fit(args) -> int:
+    try:
+        params = FitParams(
+            mape_stop=args.mape_stop, min_leaf=args.min_leaf, max_depth=args.max_depth
+        )
+    except ValueError as exc:
+        raise _UsageError(f"bad fit parameter: {exc}") from exc
     data = ingest_profile(args.dataset)
     if not data:
         print("error: data: profile contains no records", file=sys.stderr)
         return 2
-    params = FitParams(
-        mape_stop=args.mape_stop, min_leaf=args.min_leaf, max_depth=args.max_depth
-    )
     rng = np.random.default_rng(args.seed)
     models = {}
     for kind in sorted(data, key=lambda k: k.value):

@@ -8,7 +8,6 @@ runs append-friendly.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -196,6 +195,9 @@ class SyntheticOracle:
 
 
 def _config_rng(seed: int, config: StructureConfig) -> np.random.Generator:
+    # imported here: hashlib loads OpenSSL, which no other command needs
+    import hashlib
+
     digest = hashlib.sha256(
         json.dumps(config_to_dict(config), sort_keys=True).encode("utf-8")
     ).digest()

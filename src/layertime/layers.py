@@ -319,15 +319,33 @@ def _derived(config: StructureConfig) -> tuple[int, int, int, int, int]:
     return (*memory, param_size, 2 * step * param_size)
 
 
-def derive_features(config: StructureConfig) -> FeatureVector:
-    """Feature vector of a configuration: structural fields plus memory sizes."""
+def _feature_values(config: StructureConfig, derived: tuple[int, ...]) -> list[float]:
     values: list[float] = []
     for name in _FIELDS_BY_KIND[config.kind]:
         raw = getattr(config, name)
         values.append(float(PADDING_CODES[raw] if name == "padding" else raw))
     # the first four derived values are the memory features, in their order
-    values.extend(float(v) for v in _derived(config)[:4])
-    return FeatureVector(kind=config.kind, values=tuple(values))
+    values.extend(map(float, derived[:4]))
+    return values
+
+
+def _explanatory_values(config: StructureConfig, derived: tuple[int, ...]) -> list[float]:
+    mem_in, mem_out, mem_inter, param_size, flops = derived
+    values = [float(flops), float(mem_in + mem_out + mem_inter), float(param_size)]
+    if config.kind in RECURRENT_KINDS:
+        values.append(float(config.step))
+    return values
+
+
+def _row_values(config: StructureConfig) -> list[float]:
+    """Feature values, then explanatory values, of a configuration from one derivation."""
+    derived = _derived(config)
+    return _feature_values(config, derived) + _explanatory_values(config, derived)
+
+
+def derive_features(config: StructureConfig) -> FeatureVector:
+    """Feature vector of a configuration: structural fields plus memory sizes."""
+    return FeatureVector(kind=config.kind, values=tuple(_feature_values(config, _derived(config))))
 
 
 def derive_explanatory(config: StructureConfig) -> ExplanatoryVector:
@@ -336,14 +354,7 @@ def derive_explanatory(config: StructureConfig) -> ExplanatoryVector:
     ``mem`` is the sum of the three memory features; ``step`` is copied
     through for recurrent kinds only.
     """
-    mem_in, mem_out, mem_inter, param_size, flops = _derived(config)
-    step = float(config.step) if config.kind in RECURRENT_KINDS else None
-    return ExplanatoryVector(
-        flops=float(flops),
-        mem=float(mem_in + mem_out + mem_inter),
-        param_size=float(param_size),
-        step=step,
-    )
+    return ExplanatoryVector(*_explanatory_values(config, _derived(config)))
 
 
 def config_to_dict(config: StructureConfig) -> dict:

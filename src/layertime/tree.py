@@ -17,6 +17,7 @@ to share between threads; fitting mutates only node-local state.
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import math
 from collections import deque
@@ -28,6 +29,7 @@ import numpy as np
 from .layers import (
     LayerKind,
     StructureConfig,
+    _row_values,
     derive_explanatory,
     derive_features,
     explanatory_names,
@@ -143,20 +145,30 @@ class Dataset:
     ) -> "Dataset":
         if len(configs) != len(times):
             raise ValueError("configs and times must agree in length")
-        for config in configs:
+        n_features = len(feature_names(kind))
+        n_columns = n_features + len(explanatory_names(kind))
+
+        def row(config: StructureConfig) -> list[float]:
             if config.kind is not kind:
                 raise ValueError(
                     f"dataset of kind {kind.value} got a {config.kind.value} config"
                 )
-        n_features = len(feature_names(kind))
-        n_vars = len(explanatory_names(kind))
-        features = np.zeros((len(configs), n_features))
-        explanatory = np.zeros((len(configs), n_vars))
-        for i, config in enumerate(configs):
-            features[i] = derive_features(config).as_array()
-            explanatory[i] = derive_explanatory(config).as_array()
-        return cls(kind=kind, features=features, explanatory=explanatory,
-                   times=np.asarray(times, dtype=float))
+            return _row_values(config)
+
+        # streamed into one array, so no row's Python floats outlive the row
+        rows = np.fromiter(
+            itertools.chain.from_iterable(map(row, configs)),
+            dtype=float,
+            count=len(configs) * n_columns,
+        ).reshape(len(configs), n_columns)
+        # contiguous copies, so products over them sum in the same order as
+        # over the matrices of any other dataset
+        return cls(
+            kind=kind,
+            features=np.ascontiguousarray(rows[:, :n_features]),
+            explanatory=np.ascontiguousarray(rows[:, n_features:]),
+            times=np.asarray(times, dtype=float),
+        )
 
     def subset(self, mask: np.ndarray) -> "Dataset":
         mask = np.asarray(mask, dtype=bool)
@@ -192,6 +204,12 @@ class LinearFit:
         return np.asarray(explanatory, dtype=float) @ self.w + self.b
 
 
+def _checked_int(name: str, value, least: int) -> int:
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class FitParams:
     """Stopping rules and candidate-condition generation settings."""
@@ -203,11 +221,18 @@ class FitParams:
     range_quantiles: int = 16
 
     def __post_init__(self) -> None:
-        if self.mape_stop <= 0:
-            raise ValueError("mape_stop must be > 0")
-        if self.min_leaf < 2:
-            raise ValueError("min_leaf must be >= 2")
-        object.__setattr__(self, "multiple_taus", tuple(int(t) for t in self.multiple_taus))
+        mape_stop = self.mape_stop
+        if (
+            not isinstance(mape_stop, (int, float, np.integer, np.floating))
+            or isinstance(mape_stop, bool)
+            or not (math.isfinite(mape_stop) and mape_stop > 0)
+        ):
+            raise ValueError(f"mape_stop must be a finite number > 0, got {mape_stop!r}")
+        object.__setattr__(self, "mape_stop", float(mape_stop))
+        for name, least in (("min_leaf", 2), ("max_depth", 0), ("range_quantiles", 0)):
+            object.__setattr__(self, name, _checked_int(name, getattr(self, name), least))
+        taus = tuple(_checked_int("multiple_taus entry", t, 2) for t in self.multiple_taus)
+        object.__setattr__(self, "multiple_taus", taus)
 
 
 @dataclass
@@ -300,6 +325,37 @@ def nnls_fit(dataset: Dataset) -> LinearFit:
     )
 
 
+def _candidates(dataset: Dataset, params: FitParams) -> tuple[list[Condition], np.ndarray]:
+    """Candidate split conditions of a node's data and their (candidates, rows) masks.
+
+    Per feature, the masks of all moduli and of all quantile thresholds
+    are each built in one comparison, and the sides are counted from them.
+    """
+    n = len(dataset)
+    conditions: list[Condition] = []
+    kept: list[np.ndarray] = [np.zeros((0, n), dtype=bool)]
+    if n == 0:
+        return conditions, kept[0]
+    features = dataset.features
+    moduli = np.array(params.multiple_taus, dtype=float)
+    quantile_levels = np.linspace(0.0, 1.0, params.range_quantiles + 2)[1:-1]
+    quantiles = np.quantile(features, quantile_levels, axis=0)
+    varying = features.min(axis=0) < features.max(axis=0)
+    for j in np.flatnonzero(varying):
+        column = features[:, j]
+        thresholds = np.unique(quantiles[:, j])
+        thresholds = thresholds[thresholds > 0]
+        for kind, taus, masks in (
+            (ConditionKind.MULTIPLE, params.multiple_taus, column % moduli[:, None] == 0),
+            (ConditionKind.RANGE, thresholds, column <= thresholds[:, None]),
+        ):
+            n_left = masks.sum(axis=1)
+            passing = (params.min_leaf <= n_left) & (n_left <= n - params.min_leaf)
+            conditions.extend(Condition(int(j), taus[i], kind) for i in np.flatnonzero(passing))
+            kept.append(masks[passing])
+    return conditions, np.concatenate(kept)
+
+
 def enumerate_conditions(dataset: Dataset, params: FitParams) -> list[Condition]:
     """Candidate split conditions for a node's data.
 
@@ -308,24 +364,7 @@ def enumerate_conditions(dataset: Dataset, params: FitParams) -> list[Condition]
     empirical quantiles.  Candidates leaving either side with fewer than
     ``min_leaf`` records are dropped, so the list may be empty.
     """
-    n = len(dataset)
-    conditions: list[Condition] = []
-    quantile_levels = np.linspace(0.0, 1.0, params.range_quantiles + 2)[1:-1]
-    for j in range(dataset.features.shape[1]):
-        column = dataset.features[:, j]
-        if n == 0 or column.min() == column.max():
-            continue
-        for tau in params.multiple_taus:
-            n_left = int((column % tau == 0).sum())
-            if params.min_leaf <= n_left <= n - params.min_leaf:
-                conditions.append(Condition(j, tau, ConditionKind.MULTIPLE))
-        for tau in np.unique(np.quantile(column, quantile_levels)):
-            if tau <= 0:
-                continue
-            n_left = int((column <= tau).sum())
-            if params.min_leaf <= n_left <= n - params.min_leaf:
-                conditions.append(Condition(j, float(tau), ConditionKind.RANGE))
-    return conditions
+    return _candidates(dataset, params)[0]
 
 
 def partition(dataset: Dataset, condition: Condition) -> tuple[Dataset, Dataset]:
@@ -404,11 +443,12 @@ def _batched_nnls_sse(gram: np.ndarray, aty: np.ndarray, yty: np.ndarray) -> np.
 
     Each problem is given by its Gram matrix, ``Aᵀy`` and ``yᵀy``.  Every
     support (non-empty column subset) is solved unconstrained, with one
-    batched solve per support; a support counts where its Gram block is
-    non-singular and its solution strictly positive.  An NNLS optimum
-    always lies on such a support or at ``x = 0``, so the minimum over
-    them is exact up to rounding.  For non-negative columns, skipping a
-    near-singular support costs at most about ``k · _SINGULAR · yᵀy``.
+    batched solve over all supports of each size; a support counts where
+    its Gram block is non-singular and its solution strictly positive.  An
+    NNLS optimum always lies on such a support or at ``x = 0``, so the
+    minimum over them is exact up to rounding.  For non-negative columns,
+    skipping a near-singular support costs at most about
+    ``k · _SINGULAR · yᵀy``.
     """
     k = aty.shape[1]
     norm = np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
@@ -420,20 +460,26 @@ def _batched_nnls_sse(gram: np.ndarray, aty: np.ndarray, yty: np.ndarray) -> np.
     # support, and only the others need a check per support
     robust = np.linalg.eigvalsh(unit)[:, 0] > _SINGULAR
     best = yty.copy()
-    for bits in range(1, 2**k):
-        cols = [j for j in range(k) if bits >> j & 1]
-        g = unit[:, cols][:, :, cols]
-        ok = nonzero[:, cols].all(axis=1)
+    for size in range(1, k + 1):
+        cols = np.array(list(itertools.combinations(range(k), size)))
+        # all supports of one size at once, as (support, problem) pairs; each
+        # support's blocks keep the layout that indexing one support at a
+        # time gives (problem fastest, then row, then column), because
+        # einsum's summation order follows the memory layout
+        blocks = unit[:, cols[:, :, None], cols[:, None, :]].transpose(1, 3, 2, 0)
+        g = np.ascontiguousarray(blocks).transpose(0, 3, 2, 1)
+        ok = nonzero[:, cols].all(axis=2).T
         check = ok & ~robust
         if check.any():
             ok[check] = np.linalg.eigvalsh(g[check])[:, 0] > _SINGULAR
-        g[~ok] = np.eye(len(cols))
-        b = scaled_aty[:, cols]
-        z = np.linalg.solve(g, b[:, :, None])[:, :, 0]
-        ok &= (z > 0.0).all(axis=1)
+        g[~ok] = np.eye(size)
+        b = scaled_aty[:, cols].transpose(1, 0, 2)
+        z = np.linalg.solve(g, b[..., None])[..., 0]
+        ok &= (z > 0.0).all(axis=2)
         # stationary form: first-order insensitive to the solve's error
-        sse = yty - 2.0 * (b * z).sum(axis=1) + np.einsum("bi,bij,bj->b", z, g, z)
-        best = np.where(ok & (sse < best), sse, best)
+        sse = yty - 2.0 * (b * z).sum(axis=2) + np.einsum("tbi,tbij,tbj->tb", z, g, z)
+        ok &= sse < best
+        best = np.minimum(best, np.where(ok, sse, np.inf).min(axis=0))
     return best
 
 
@@ -468,10 +514,9 @@ def _best_split(dataset: Dataset, params: FitParams) -> _Split | None:
     picks one.  The chosen condition and its fits are therefore exactly
     those of scoring every candidate with :func:`nnls_fit`.
     """
-    candidates = enumerate_conditions(dataset, params)
+    candidates, masks = _candidates(dataset, params)
     if not candidates:
         return None
-    masks = np.array([condition.holds(dataset.features) for condition in candidates])
     screened = _screened_impurities(dataset, masks)
     finite = np.isfinite(screened)
     contenders = ~finite
@@ -599,7 +644,7 @@ def model_from_dict(doc: dict) -> TimeModel:
     try:
         kind = LayerKind(doc["layer_kind"])
         node_docs = {int(nd["id"]): nd for nd in doc["nodes"]}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed model document: {exc}") from exc
     if not node_docs:
         raise ModelFormatError("model document has no nodes")
@@ -607,10 +652,7 @@ def model_from_dict(doc: dict) -> TimeModel:
     n_features = len(feature_names(kind))
     n_vars = len(explanatory_names(kind))
 
-    def build(node_id: int, seen: set[int]) -> Node:
-        if node_id in seen:
-            raise ModelFormatError(f"node {node_id} appears in a cycle")
-        seen = seen | {node_id}
+    def decode(node_id: int) -> tuple[Node, int | None, int | None]:
         try:
             nd = node_docs[node_id]
         except KeyError:
@@ -632,6 +674,8 @@ def model_from_dict(doc: dict) -> TimeModel:
                     kind=ConditionKind(cd["kind"]),
                 )
             left_id, right_id = nd.get("left"), nd.get("right")
+            if left_id is not None and right_id is not None:
+                left_id, right_id = int(left_id), int(right_id)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelFormatError(f"malformed node {node_id}: {exc}") from exc
         if fit.w.shape != (n_vars,):
@@ -645,13 +689,26 @@ def model_from_dict(doc: dict) -> TimeModel:
             )
         if (left_id is None) != (right_id is None):
             raise ModelFormatError(f"node {node_id} has exactly one child")
-        node = Node(fit=fit, condition=condition)
-        if left_id is not None:
-            node.left = build(int(left_id), seen)
-            node.right = build(int(right_id), seen)
-        return node
+        return Node(fit=fit, condition=condition), left_id, right_id
 
-    root = build(0, set())
+    # depth-first from an explicit stack, left child first; every id may be
+    # reached once, so a cycle or a child shared by two parents is an error
+    root = None
+    seen: set[int] = set()
+    stack: list[tuple[Node | None, str, int]] = [(None, "", 0)]
+    while stack:
+        parent, side, node_id = stack.pop()
+        if node_id in seen:
+            raise ModelFormatError(f"node {node_id} is reached twice (a cycle or a shared child)")
+        seen.add(node_id)
+        node, left_id, right_id = decode(node_id)
+        if parent is None:
+            root = node
+        else:
+            setattr(parent, side, node)
+        if left_id is not None:
+            stack += [(node, "right", right_id), (node, "left", left_id)]
+
     try:
         return TimeModel(
             kind=kind, root=root, fit_params=_fit_params_from_dict(doc.get("fit_params", {}))

@@ -296,13 +296,70 @@ def test_non_finite_lambda_is_a_usage_error(tmp_path, capsys, lam):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats dominates a cold start, and only `analyze` needs it
-    probe = "import sys, layertime.cli; print('scipy.stats' in sys.modules)"
+    # scipy.stats dominates a cold start, and only `analyze` needs it;
+    # hashlib loads OpenSSL, and only `synth` needs it
+    probe = (
+        "import sys, layertime.cli; "
+        "print('scipy.stats' in sys.modules, '_hashlib' in sys.modules)"
+    )
     result = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "False False"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--mape-stop", "nan"],
+        ["--mape-stop", "inf"],
+        ["--mape-stop", "0"],
+        ["--min-leaf", "1"],
+        ["--max-depth", "-5"],
+    ],
+    ids=" ".join,
+)
+def test_fit_rejects_bad_parameters_as_usage_errors(tmp_path, capsys, flags):
+    profile = tmp_path / "profile.jsonl"
+    write_profile(synth_profile(default_oracle(), generate_plan(n_networks=2, seed=1)), profile)
+    out = tmp_path / "model.json"
+    code = main(["fit", "--dataset", str(profile), "--out", str(out), *flags])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: usage: bad fit parameter: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "fit_params",
+    [{"mape_stop": float("nan")}, {"max_depth": -5}, {"min_leaf": True},
+     {"multiple_taus": [2, 1]}, {"range_quantiles": 1.5}],
+    ids=repr,
+)
+def test_predict_rejects_out_of_range_fit_params(tmp_path, capsys, fit_params):
+    doc = json.loads(save_models({LayerKind.CNN: two_leaf_channel_model()}))
+    doc["models"][0]["fit_params"].update(fit_params)
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(doc))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config_to_dict(cnn(24, 24, 3, 3, 43, 64))))
+    assert main(["predict", "--model", str(model_path), "--config", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: data: ")
+
+
+def test_predict_walks_a_deep_chain_without_recursion(tmp_path, capsys):
+    from test_tree import chain_document
+
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps({"format_version": "1.0", "models": [chain_document(5000)]}))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config_to_dict(cnn(8, 8, 3, 3, 1, 4))))
+    assert main(["predict", "--model", str(model_path), "--config", str(config_path)]) == 0
+    assert capsys.readouterr().out.endswith(" ms\n")
 
 
 def test_failing_evaluator_is_a_data_error(tmp_path, capsys):

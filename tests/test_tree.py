@@ -355,6 +355,50 @@ def test_fit_params_validation():
         FitParams(min_leaf=1)
 
 
+BAD_FIT_PARAMS = [
+    {"mape_stop": float("nan")},
+    {"mape_stop": float("inf")},
+    {"mape_stop": -0.1},
+    {"mape_stop": "0.1"},
+    {"mape_stop": True},
+    {"min_leaf": 1},
+    {"min_leaf": 15.0},
+    {"min_leaf": True},
+    {"max_depth": -5},
+    {"max_depth": "x"},
+    {"max_depth": 2.5},
+    {"multiple_taus": (1,)},
+    {"multiple_taus": (2, 4.0)},
+    {"multiple_taus": (True,)},
+    {"range_quantiles": -1},
+    {"range_quantiles": None},
+]
+
+
+@pytest.mark.parametrize("fields", BAD_FIT_PARAMS, ids=repr)
+def test_fit_params_reject_every_bad_field(fields):
+    with pytest.raises(ValueError):
+        FitParams(**fields)
+
+
+@pytest.mark.parametrize("fields", BAD_FIT_PARAMS, ids=repr)
+def test_load_models_rejects_every_bad_fit_param(fields):
+    import json
+
+    doc = model_to_dict(planted_depth2_model())
+    doc["fit_params"].update({k: list(v) if isinstance(v, tuple) else v for k, v in fields.items()})
+    # NaN and Infinity are not JSON, but Python's reader accepts them
+    with pytest.raises(ModelFormatError):
+        load_models(json.dumps(doc))
+
+
+def test_fit_params_accept_the_edges_of_their_ranges():
+    params = FitParams(mape_stop=1e-300, min_leaf=2, max_depth=0, multiple_taus=(),
+                       range_quantiles=0)
+    assert (params.max_depth, params.range_quantiles, params.multiple_taus) == (0, 0, ())
+    assert FitParams(multiple_taus=[np.int64(2), 3]).multiple_taus == (2, 3)
+
+
 # --- predict ------------------------------------------------------------------------
 
 
@@ -471,6 +515,71 @@ def test_single_child_document_rejected():
     import json
 
     with pytest.raises(ModelFormatError):
+        load_model(json.dumps(doc))
+
+
+def chain_document(depth: int) -> dict:
+    """A valid CNN model whose left spine is ``depth`` internal nodes deep."""
+    node = {"w": [1e-8, 1e-6, 0.0], "b": 1.0, "n": 0, "mape": 0.0, "mse": 0.0}
+    nodes = []
+    for i in range(depth):
+        # node i keeps in_channel <= depth - i on the left, its leaf on the right
+        nodes.append({**node, "id": i, "left": i + 1, "right": depth + 1 + i,
+                      "cond": {"feature": IN_CHANNEL, "tau": float(depth - i), "kind": "range"}})
+    nodes.append({**node, "id": depth, "b": 2.0, "left": None, "right": None, "cond": None})
+    nodes += [{**node, "id": depth + 1 + i, "left": None, "right": None, "cond": None}
+              for i in range(depth)]
+    doc = model_to_dict(planted_depth2_model())
+    doc["nodes"] = nodes
+    return doc
+
+
+def test_deep_chain_loads_and_predicts():
+    import json
+
+    model = load_model(json.dumps(chain_document(5000)))
+    assert model.n_nodes == 10001
+    # in_channel 1 passes every range condition and reaches the deepest leaf
+    config = cnn(8, 8, 3, 3, 1, 4)
+    assert model.predict(config) == pytest.approx(
+        2.0 + float(derive_explanatory(config).as_array() @ [1e-8, 1e-6, 0.0])
+    )
+    again = load_model(save_model(model))
+    assert again.predict(config) == model.predict(config)
+
+
+def test_shared_child_is_rejected_fast():
+    import json
+    import time
+
+    # every internal node points both children at the next id: a 2 KB file
+    # that would expand to 2**17 - 1 nodes if ids could be reused
+    node = {"w": [1e-8, 1e-6, 0.0], "b": 1.0, "cond": {"feature": 0, "tau": 8, "kind": "range"}}
+    nodes = [{**node, "id": i, "left": i + 1, "right": i + 1} for i in range(16)]
+    nodes.append({**node, "id": 16, "left": None, "right": None, "cond": None})
+    doc = model_to_dict(planted_depth2_model())
+    doc["nodes"] = nodes
+    start = time.perf_counter()
+    with pytest.raises(ModelFormatError, match="reached twice"):
+        load_model(json.dumps(doc))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_overflowing_node_id_is_rejected():
+    import json
+
+    doc = chain_document(2)
+    doc["nodes"][1]["id"] = 1e400  # json.dumps writes Infinity
+    with pytest.raises(ModelFormatError):
+        load_model(json.dumps(doc))
+
+
+def test_cycle_is_rejected():
+    import json
+
+    doc = chain_document(3)
+    doc["nodes"][2]["left"] = 0
+    with pytest.raises(ModelFormatError, match="reached twice"):
         load_model(json.dumps(doc))
 
 
