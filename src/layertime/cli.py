@@ -410,9 +410,17 @@ def _cmd_compress(args) -> int:
     net = load_network(Path(args.network).read_bytes())
     if not 0 <= args.lam < math.inf:
         raise _UsageError("--lambda must be finite and >= 0")
-    evaluator = (
+    evaluate = (
         CommandEvaluator(args.evaluator_cmd) if args.evaluator_cmd else (lambda _: 0.0)
     )
+    # the objective printed below reuses the losses the search already paid for
+    losses: dict = {}
+
+    def evaluator(network) -> float:
+        if network not in losses:
+            losses[network] = float(evaluate(network))
+        return losses[network]
+
     grids = _parse_width_grid(args.width_grid, net)
     if args.brute_force:
         compressed = brute_force_compress(evaluator, models, net, args.lam, grids)
@@ -423,8 +431,8 @@ def _cmd_compress(args) -> int:
     before = network_time(models, net)
     after = network_time(models, compressed)
     print(f"time: {before:.3f} ms -> {after:.3f} ms")
-    loss_before = float(evaluator(net))
-    loss_after = float(evaluator(compressed))
+    loss_before = evaluator(net)
+    loss_after = evaluator(compressed)
     print(
         f"objective: {loss_before + args.lam * before:.3f} -> "
         f"{loss_after + args.lam * after:.3f}"

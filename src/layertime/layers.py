@@ -91,7 +91,7 @@ _ALL_FIELDS = (
 _MEMORY_FEATURES = ("mem_in", "mem_out", "mem_inter", "param_size")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StructureConfig:
     """Structural hyperparameters of one layer.
 
@@ -220,7 +220,7 @@ def conv_output_dims(
     return out_h, out_w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FeatureVector:
     """Named feature values in the canonical per-kind order."""
 
@@ -238,7 +238,7 @@ class FeatureVector:
         return np.asarray(self.values, dtype=float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExplanatoryVector:
     """Regression inputs: operation count, memory traffic, parameter size.
 

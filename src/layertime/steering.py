@@ -106,7 +106,7 @@ def _shared_widths(layers: Sequence[StructureConfig]) -> list[tuple[int, str, st
     ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NetworkSpec:
     """Ordered layer configurations with consistent shared widths."""
 
@@ -133,7 +133,7 @@ def _model_for(model_map: Mapping[LayerKind, TimeModel], kind: LayerKind) -> Tim
     return model
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AcceptedExpansion:
     """One committed rounding, with the two node predictions that allowed it."""
 
@@ -143,7 +143,7 @@ class AcceptedExpansion:
     current_time: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LayerExpansion:
     original: StructureConfig
     expanded: StructureConfig
@@ -153,7 +153,7 @@ class LayerExpansion:
     reverted: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConflictResolution:
     """A junction where neighbouring expansions disagreed on the shared width."""
 
@@ -165,7 +165,7 @@ class ConflictResolution:
     kept: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExpansionTrace:
     entries: tuple[LayerExpansion, ...]
     conflicts: tuple[ConflictResolution, ...] = ()
@@ -282,9 +282,25 @@ def expand_network(
     result is adjacency-consistent and never predicts slower in total than
     the input network.
     """
-    entries = [
+    entries = tuple(
         expand_layer(_model_for(model_map, layer.kind), layer)[1] for layer in net.layers
-    ]
+    )
+    expanded, conflicts = _reconcile(
+        entries, lambda config: _model_for(model_map, config.kind).predict(config)
+    )
+    trace = ExpansionTrace(entries=entries, conflicts=conflicts, reverted=expanded is None)
+    return (net if expanded is None else expanded), trace
+
+
+def _reconcile(
+    entries: Sequence[LayerExpansion], price: Callable[[StructureConfig], float]
+) -> tuple[NetworkSpec | None, tuple[ConflictResolution, ...]]:
+    """Resolve the width conflicts between expanded neighbours, in layer order.
+
+    ``price`` gives a configuration's predicted time.  Returns the
+    reconciled network, or ``None`` when it predicts slower in total than
+    the unexpanded layers, together with the conflicts met on the way.
+    """
     configs = [entry.expanded for entry in entries]
     times = [entry.time_after for entry in entries]
 
@@ -302,7 +318,7 @@ def expand_network(
             # only layer j changes, so only it is re-priced
             option_configs, option_times = list(configs), list(times)
             option_configs[j] = dc_replace(configs[j], **changes)
-            option_times[j] = _model_for(model_map, configs[j].kind).predict(option_configs[j])
+            option_times[j] = price(option_configs[j])
             options[name] = (option_configs, option_times)
             totals[name] = sum(option_times)
         kept = "downstream" if totals["downstream"] < totals["upstream"] else "upstream"
@@ -318,14 +334,9 @@ def expand_network(
             )
         )
 
-    expanded_net = NetworkSpec(tuple(configs))
-    reverted = sum(times) > sum(entry.time_before for entry in entries)
-    if reverted:
-        expanded_net = net
-    trace = ExpansionTrace(
-        entries=tuple(entries), conflicts=tuple(conflicts), reverted=reverted
-    )
-    return expanded_net, trace
+    if sum(times) > sum(entry.time_before for entry in entries):
+        return None, tuple(conflicts)
+    return NetworkSpec(tuple(configs)), tuple(conflicts)
 
 
 def network_time(model_map: Mapping[LayerKind, TimeModel], net: NetworkSpec) -> float:
@@ -352,7 +363,7 @@ def time_aware_objective(
 # --- zero-padding plans ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TensorEmbed:
     """Where each old weight block lands inside the expanded tensor.
 
@@ -369,7 +380,7 @@ class TensorEmbed:
     blocks: tuple[tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LayerPadPlan:
     index: int
     kind: LayerKind
@@ -472,6 +483,13 @@ class _Objective:
         self.calls = 0
         # frozen configs make networks hashable, with field-wise equality
         self.cache: dict[NetworkSpec, float] = {}
+        self.prices: dict[StructureConfig, float] = {}
+
+    def price(self, config: StructureConfig) -> float:
+        """Predicted time of one layer, each distinct configuration priced once."""
+        if config not in self.prices:
+            self.prices[config] = _model_for(self.model_map, config.kind).predict(config)
+        return self.prices[config]
 
     def __call__(self, net: NetworkSpec) -> float:
         if net not in self.cache:
@@ -481,7 +499,8 @@ class _Objective:
             loss = float(self.evaluator(net))
             if not math.isfinite(loss) or loss < 0:
                 raise EvaluationError(f"evaluator returned invalid loss {loss!r}")
-            self.cache[net] = loss + self.lam * network_time(self.model_map, net)
+            # the same terms in the same order as network_time
+            self.cache[net] = loss + self.lam * sum(self.price(c) for c in net.layers)
         return self.cache[net]
 
 
@@ -563,6 +582,30 @@ def greedy_compress(
     return current
 
 
+def _width_tables(
+    model_map: Mapping[LayerKind, TimeModel], net: NetworkSpec, grids: list[list[int]]
+) -> list[tuple[int | None, dict[tuple[int | None, int], LayerExpansion]]]:
+    """Expansion of each layer under every width pair ``_apply_widths`` gives it.
+
+    Layer i depends only on ``w[i]`` and, when it shares its input width
+    with layer ``j = i - 1``, on ``w[j]``.  One ``(j, table)`` per layer;
+    the table is keyed on ``(w[j], w[i])``, or on ``(None, w[i])`` with
+    ``j = None`` when the input width is not shared.
+    """
+    tables = []
+    for i, layer in enumerate(net.layers):
+        model = _model_for(model_map, layer.kind)
+        in_field, out_field = width_fields(layer.kind)
+        j = i - 1 if i and _coupled_kinds(net.layers[i - 1].kind, layer.kind) else None
+        table = {}
+        for w_in in [None] if j is None else grids[j]:
+            for w_out in grids[i]:
+                changes = {out_field: w_out} if j is None else {in_field: w_in, out_field: w_out}
+                table[w_in, w_out] = expand_layer(model, dc_replace(layer, **changes))[1]
+        tables.append((j, table))
+    return tables
+
+
 def brute_force_compress(
     evaluator: Callable[[NetworkSpec], float],
     model_map: Mapping[LayerKind, TimeModel],
@@ -572,8 +615,10 @@ def brute_force_compress(
 ) -> NetworkSpec:
     """Exact grid minimizer of the compression objective (test oracle).
 
-    Every width combination is expanded before scoring; ties go to the
-    lexicographically smallest widths.
+    Every width combination is expanded before scoring, exactly as
+    ``expand_network`` would expand it; ties go to the lexicographically
+    smallest widths.  Each layer is expanded once per width pair it can
+    take, and each configuration is priced once.
     """
     _check_lam(lam)
     grids = _check_grid(net, width_grid)
@@ -583,10 +628,16 @@ def brute_force_compress(
     if total > 1_000_000:
         raise ValueError(f"search space of {total} candidates is too large")
     objective = _Objective(evaluator, model_map, lam, budget=math.inf)
+    tables = _width_tables(model_map, net, grids)
     best: tuple[float, NetworkSpec] | None = None
     for widths in itertools.product(*grids):
-        candidate = _apply_widths(net, widths)
-        expanded, _ = expand_network(model_map, candidate)
+        entries = [
+            table[None if j is None else widths[j], width]
+            for (j, table), width in zip(tables, widths)
+        ]
+        expanded, _ = _reconcile(entries, objective.price)
+        if expanded is None:
+            expanded = _apply_widths(net, widths)
         value = objective(expanded)
         if best is None or value < best[0]:
             best = (value, expanded)

@@ -643,11 +643,16 @@ def model_from_dict(doc: dict) -> TimeModel:
     _check_version(doc)
     try:
         kind = LayerKind(doc["layer_kind"])
-        node_docs = {int(nd["id"]): nd for nd in doc["nodes"]}
+        ids = [int(nd["id"]) for nd in doc["nodes"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed model document: {exc}") from exc
-    if not node_docs:
+    if not ids:
         raise ModelFormatError("model document has no nodes")
+    node_docs: dict[int, dict] = {}
+    for node_id, nd in zip(ids, doc["nodes"]):
+        if node_id in node_docs:
+            raise ModelFormatError(f"node id {node_id} appears more than once")
+        node_docs[node_id] = nd
     # fitted trees may hold any width; a stored one must match its kind
     n_features = len(feature_names(kind))
     n_vars = len(explanatory_names(kind))
@@ -708,6 +713,9 @@ def model_from_dict(doc: dict) -> TimeModel:
             setattr(parent, side, node)
         if left_id is not None:
             stack += [(node, "right", right_id), (node, "left", left_id)]
+    unreachable = node_docs.keys() - seen
+    if unreachable:
+        raise ModelFormatError(f"node {min(unreachable)} is not reachable from node 0")
 
     try:
         return TimeModel(

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from conftest import two_leaf_channel_model, leaf
-from layertime.cli import main
+from layertime.cli import _parse_width_grid, main
 from layertime.harness import (
     ProfileFormatError,
     default_oracle,
@@ -137,6 +137,45 @@ def test_compress_lambda_zero_matches_greedy_api(tmp_path, capsys):
     assert "time:" in out and "objective:" in out
 
 
+def test_compress_calls_the_evaluator_only_for_the_search(tmp_path):
+    model_path = write_reference_model(tmp_path)
+    net = NetworkSpec((cnn(24, 24, 3, 3, 8, 43), cnn(24, 24, 3, 3, 43, 61)))
+    net_path = write_network(tmp_path, net.layers)
+    log = tmp_path / "calls.log"
+    script = tmp_path / "logging_loss.py"
+    script.write_text(
+        "import json, sys\n"
+        "with open(sys.argv[1], 'a') as log:\n"
+        "    log.write('call\\n')\n"
+        "with open(sys.argv[2]) as network:\n"
+        "    doc = json.load(network)\n"
+        "print(repr(sum(64 / layer['out_channel'] for layer in doc['layers'])))\n"
+    )
+    result = subprocess.run(
+        [
+            sys.executable, "-m", "layertime.cli", "compress",
+            "--model", str(model_path), "--network", str(net_path), "--lambda", "1.0",
+            "--evaluator-cmd", f"{sys.executable} {script} {log}",
+            "--width-grid", "0.25,0.5,1.0", "--out", str(tmp_path / "compressed.json"),
+        ],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert result.returncode == 0, result.stderr
+
+    calls = []
+
+    def loss(network):
+        calls.append(network)
+        return sum(64 / layer.out_channel for layer in network.layers)
+
+    grids = _parse_width_grid("0.25,0.5,1.0", net)
+    expected = greedy_compress(loss, {LayerKind.CNN: two_leaf_channel_model()}, net, 1.0, grids)
+    assert load_network((tmp_path / "compressed.json").read_bytes()) == expected
+    # the objective line reuses the search's losses of the input and the result
+    assert log.read_text().count("call") == len(calls) > 2
+
+
 def test_compress_pure_time_when_evaluator_omitted(tmp_path):
     model_path = write_reference_model(tmp_path)
     net_path = write_network(tmp_path, [cnn(24, 24, 3, 3, 8, 64)])
@@ -227,6 +266,30 @@ def test_invalid_model_values_are_data_errors(tmp_path, capsys, mutation):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: data: ") and "node 0" in captured.err
+
+
+@pytest.mark.parametrize("mutation", ["duplicate id", "unreachable node"])
+def test_stray_model_nodes_are_data_errors(tmp_path, capsys, mutation):
+    oracle_doc = json.loads(save_oracle(default_oracle()))
+    nodes = next(m for m in oracle_doc["models"] if m["layer_kind"] == "CNN")["nodes"]
+    if mutation == "duplicate id":
+        nodes.append({**nodes[1], "b": 999.0})
+        expected = "node id 1 appears more than once"
+    else:
+        spare = max(nd["id"] for nd in nodes) + 1
+        nodes.append({**nodes[-1], "id": spare})
+        expected = f"node {spare} is not reachable from node 0"
+    payload = json.dumps(oracle_doc)
+    with pytest.raises(ModelFormatError, match=expected):
+        load_models(payload)
+    model_path = tmp_path / "model.json"
+    model_path.write_text(payload)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config_to_dict(cnn(24, 24, 3, 3, 43, 64))))
+    assert main(["predict", "--model", str(model_path), "--config", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: data: ") and expected in captured.err
 
 
 @pytest.mark.parametrize("record", ["5", "null", "[1]", '"x"'])

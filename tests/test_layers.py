@@ -1,5 +1,7 @@
 """Structure configs, convolution arithmetic, and derived vectors."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from layertime.layers import (
     feature_names,
     gru,
     lstm,
+    width_fields,
 )
 
 # --- independent recomputation of every derived quantity ---------------------
@@ -261,3 +264,24 @@ def test_padding_round_trips_as_text():
     record = config_to_dict(cnn(24, 24, 3, 3, 1, 1, padding=Padding.VALID))
     assert record["padding"] == "valid"
     assert config_from_dict(record).padding is Padding.VALID
+
+
+@given(config=any_config())
+def test_value_types_are_slotted(config):
+    values = (config, derive_features(config), derive_explanatory(config))
+    for value in values:
+        assert not hasattr(value, "__dict__")
+        copy = dataclasses.replace(value)
+        assert copy == value and hash(copy) == hash(value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, dataclasses.fields(value)[0].name, None)
+    decoded = config_from_dict(config_to_dict(config))
+    assert decoded == config and hash(decoded) == hash(config)
+    # replace still validates and converts, as construction does
+    out_field = width_fields(config.kind)[1]
+    wider = dataclasses.replace(config, **{out_field: getattr(config, out_field) + 1})
+    assert getattr(wider, out_field) == getattr(config, out_field) + 1 and wider != config
+    with pytest.raises(ValueError):
+        dataclasses.replace(config, **{out_field: 0})
+    if config.kind is LayerKind.CNN:
+        assert dataclasses.replace(config, padding="same").padding is Padding.SAME

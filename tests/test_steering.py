@@ -1,11 +1,15 @@
 """Layer expansion, network expansion, padding plans, and compression search."""
 
+import dataclasses
+import itertools
 import json
 import os
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     B_FALSE,
@@ -20,10 +24,12 @@ from conftest import (
 )
 from layertime.harness import default_oracle
 from layertime.layers import LayerKind, cnn, derive_explanatory, fc, gru, lstm
-from layertime import steering
+from layertime import cli, steering
 from layertime.steering import (
     CommandEvaluator,
+    ConflictResolution,
     EvaluationError,
+    ExpansionTrace,
     NetworkFormatError,
     NetworkSpec,
     brute_force_compress,
@@ -31,7 +37,9 @@ from layertime.steering import (
     expand_network,
     greedy_compress,
     load_network,
+    network_from_dict,
     network_time,
+    network_to_dict,
     rnn_time_floor,
     save_network,
     time_aware_objective,
@@ -551,6 +559,178 @@ def test_lambda_zero_minimizes_loss_alone(reference_model):
     evaluator = width_loss([10.0])
     result = brute_force_compress(evaluator, models, net, 0.0, [[4, 8, 16]])
     assert result.layers[0].out_channel == 16  # widest wins when time is free
+
+
+# --- brute force against the per-candidate reference -----------------------------------
+
+
+def reference_expand_network(model_map, net):
+    """Reference expansion: per-layer expansion, then the conflict pass inline, priced by the models."""
+    entries = [expand_layer(model_map[layer.kind], layer)[1] for layer in net.layers]
+    configs = [entry.expanded for entry in entries]
+    times = [entry.time_after for entry in entries]
+    conflicts = []
+    for i, out_field, in_field in steering._shared_widths(configs):
+        upstream = getattr(configs[i], out_field)
+        downstream = getattr(configs[i + 1], in_field)
+        if upstream == downstream:
+            continue
+        options, totals = {}, {}
+        for name, j, changes in (
+            ("upstream", i + 1, {in_field: upstream}),
+            ("downstream", i, {out_field: downstream}),
+        ):
+            option_configs, option_times = list(configs), list(times)
+            option_configs[j] = dataclasses.replace(configs[j], **changes)
+            option_times[j] = model_map[configs[j].kind].predict(option_configs[j])
+            options[name] = (option_configs, option_times)
+            totals[name] = sum(option_times)
+        kept = "downstream" if totals["downstream"] < totals["upstream"] else "upstream"
+        configs, times = options[kept]
+        conflicts.append(ConflictResolution(i, upstream, downstream,
+                                            totals["upstream"], totals["downstream"], kept))
+    reverted = sum(times) > sum(entry.time_before for entry in entries)
+    trace = ExpansionTrace(tuple(entries), tuple(conflicts), reverted)
+    return (net if reverted else NetworkSpec(tuple(configs))), trace
+
+
+def reference_brute_force(evaluator, model_map, net, lam, grids):
+    """Expand and score every ``_apply_widths`` candidate; strict ``<`` keeps the first best."""
+    scores = {}
+    best = None
+    for widths in itertools.product(*grids):
+        expanded, _ = reference_expand_network(model_map, steering._apply_widths(net, widths))
+        if expanded not in scores:
+            scores[expanded] = float(evaluator(expanded)) + lam * network_time(model_map, expanded)
+        if best is None or scores[expanded] < best[0]:
+            best = (scores[expanded], expanded)
+    return best[1]
+
+
+def _layer(rng, kind, in_width, out_width):
+    if kind is LayerKind.CNN:
+        extent = int(rng.choice([8, 12, 24]))
+        kernel = int(rng.choice([1, 3]))
+        stride = int(rng.choice([1, 2]))
+        return cnn(extent, extent, kernel, kernel, in_width, out_width, stride=stride)
+    if kind is LayerKind.FC:
+        return fc(in_width, out_width)
+    return (gru if kind is LayerKind.GRU else lstm)(in_width, out_width, int(rng.choice([4, 8])))
+
+
+def mixed_compression_instance(kinds, seed):
+    """A net of the given kinds (coupled and uncoupled junctions), random trees and grids."""
+    rng = np.random.default_rng(seed)
+    models = {kind: random_tree_model(rng, kind=kind) for kind in dict.fromkeys(kinds)}
+    layers, width = [], int(rng.integers(1, 49))
+    for i, kind in enumerate(kinds):
+        if i and not steering._coupled_kinds(kinds[i - 1], kind):
+            width = int(rng.integers(1, 49))
+        out_width = int(rng.integers(1, 49))
+        layers.append(_layer(rng, kind, width, out_width))
+        width = out_width
+    grids = [
+        sorted({int(w) for w in rng.integers(1, 49, size=int(rng.integers(1, 4)))})
+        for _ in kinds
+    ]
+    return models, NetworkSpec(tuple(layers)), grids, rng.uniform(5.0, 50.0, size=len(kinds))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(list(LayerKind)), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+    lam=st.sampled_from([0.0, 0.1, 1.0, 10.0]),
+    loss_scale=st.sampled_from([0.0, 1.0]),
+)
+def test_brute_force_matches_the_per_candidate_reference(kinds, seed, lam, loss_scale):
+    # a zero loss at lam 0 ties every candidate, so the first one must win
+    models, net, grids, weights = mixed_compression_instance(kinds, seed)
+    weights = loss_scale * weights
+    calls = {"table": [], "reference": []}
+
+    def loss(name):
+        def evaluator(network):
+            calls[name].append(network)
+            return width_loss(weights)(network)
+
+        return evaluator
+
+    result = brute_force_compress(loss("table"), models, net, lam, grids)
+    expected = reference_brute_force(loss("reference"), models, net, lam, grids)
+    assert save_network(result) == save_network(expected)
+    assert calls["table"] == calls["reference"]
+
+
+def reverting_fc_model():
+    """FC tree whose junction conflict on fc(5, 13) -> fc(13, 1) costs more than no expansion.
+
+    Each layer alone expands (out 13 -> 15 under ``out_dim % 3``, in 13 -> 16
+    under ``in_dim % 4``), but either consistent choice re-prices the other
+    layer onto the expensive leaf: 372 and 385 against 370 unexpanded.
+    """
+    flops = (1.0, 0.0, 0.0)
+    inner = Node(fit=leaf(flops, 100.0).fit, condition=Condition(0, 4, MULTIPLE),
+                 left=leaf(flops, 76.0), right=leaf(flops, 100.0))
+    root = Node(fit=leaf(flops, 100.0).fit, condition=Condition(1, 3, MULTIPLE),
+                left=leaf(flops, 76.0), right=inner)
+    return {LayerKind.FC: TimeModel(kind=LayerKind.FC, root=root)}
+
+
+def test_brute_force_keeps_a_reverted_candidate_unexpanded():
+    models = reverting_fc_model()
+    net = NetworkSpec((fc(5, 13), fc(13, 1)))
+    expanded, trace = expand_network(models, net)
+    assert trace.reverted and expanded is net
+    conflict = trace.conflicts[0]
+    assert (conflict.time_with_upstream, conflict.time_with_downstream) == (372.0, 385.0)
+    assert save_network(expanded) == save_network(reference_expand_network(models, net)[0])
+    grids = [[12, 13], [1, 2]]
+    calls = {"table": [], "reference": []}
+
+    def loss(name):
+        def evaluator(network):
+            calls[name].append(network)
+            return width_loss([500.0, 500.0])(network)
+
+        return evaluator
+
+    result = brute_force_compress(loss("table"), models, net, 1.0, grids)
+    assert result == reference_brute_force(loss("reference"), models, net, 1.0, grids)
+    assert net in calls["table"] and calls["table"] == calls["reference"]
+
+
+def test_chain_trace_matches_the_reference_conflict_pass():
+    models, net = default_oracle_chain()
+    expanded, trace = expand_network(models, net)
+    expected, expected_trace = reference_expand_network(models, net)
+    assert len(trace.conflicts) == 48
+    assert save_network(expanded) == save_network(expected)
+    assert cli._trace_to_dict(trace) == cli._trace_to_dict(expected_trace)
+
+
+def test_steering_value_types_are_slotted(reference_model):
+    models = {LayerKind.CNN: reference_model}
+    net = NetworkSpec((cnn(24, 24, 3, 3, 8, 43), cnn(24, 24, 3, 3, 43, 64)))
+    expanded, trace = expand_network(models, net)
+    plan = zero_pad_plan(net, expanded)
+    accepted = [a for entry in trace.entries for a in entry.accepted]
+    tensors = [t for layer_plan in plan for t in layer_plan.tensors]
+    values = [net, trace, *trace.entries, *accepted, *trace.conflicts, *plan, *tensors]
+    assert {type(v).__name__ for v in values} == {
+        "NetworkSpec", "ExpansionTrace", "LayerExpansion", "AcceptedExpansion",
+        "ConflictResolution", "LayerPadPlan", "TensorEmbed",
+    }
+    for value in values:
+        assert not hasattr(value, "__dict__")
+        copy = dataclasses.replace(value)
+        assert copy == value and hash(copy) == hash(value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, dataclasses.fields(value)[0].name, None)
+    assert network_from_dict(network_to_dict(expanded)) == expanded
+    assert dataclasses.replace(trace.conflicts[0], kept="upstream").kept == "upstream"
+    with pytest.raises(ValueError, match="shared width"):
+        dataclasses.replace(net, layers=(net.layers[0], expanded.layers[1]))
 
 
 # --- recurrent floor ------------------------------------------------------------------
