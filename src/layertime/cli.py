@@ -168,6 +168,8 @@ def main(argv=None) -> int:
 
 
 def _cmd_plan(args) -> int:
+    if args.networks < 1:
+        raise _UsageError("--networks must be >= 1")
     plan = generate_plan(scope=args.scope, n_networks=args.networks, seed=args.seed)
     save_plan(plan, args.out)
     print(f"plan: {len(plan)} components across {args.networks} networks -> {args.out}")
@@ -410,6 +412,8 @@ def _cmd_compress(args) -> int:
     net = load_network(Path(args.network).read_bytes())
     if not 0 <= args.lam < math.inf:
         raise _UsageError("--lambda must be finite and >= 0")
+    if args.budget < 1:
+        raise _UsageError("--budget must be >= 1")
     evaluate = (
         CommandEvaluator(args.evaluator_cmd) if args.evaluator_cmd else (lambda _: 0.0)
     )

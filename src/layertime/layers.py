@@ -45,10 +45,16 @@ class LayerKind(enum.Enum):
     GRU = "GRU"
     LSTM = "LSTM"
 
+    # members are singletons compared by identity, so the C-level identity
+    # hash agrees with == and skips Enum's Python-level hash of the name
+    __hash__ = object.__hash__
+
 
 class Padding(enum.Enum):
     VALID = "valid"
     SAME = "same"
+
+    __hash__ = object.__hash__
 
 
 RECURRENT_KINDS = frozenset({LayerKind.GRU, LayerKind.LSTM})

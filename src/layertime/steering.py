@@ -19,8 +19,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import shlex
-import subprocess
 import tempfile
 from dataclasses import dataclass, replace as dc_replace
 from pathlib import Path
@@ -522,6 +520,9 @@ def _apply_widths(net: NetworkSpec, widths: Sequence[int]) -> NetworkSpec:
     layers = list(net.layers)
     for i, width in enumerate(widths):
         out_field = width_fields(layers[i].kind)[1]
+        # a valid network already gives a shared next input this width too
+        if getattr(layers[i], out_field) == width:
+            continue
         layers[i] = dc_replace(layers[i], **{out_field: int(width)})
         if i + 1 < len(layers) and _coupled_kinds(layers[i].kind, layers[i + 1].kind):
             in_field = width_fields(layers[i + 1].kind)[0]
@@ -545,12 +546,14 @@ def greedy_compress(
 
     Repeatedly applies the single-layer width move (neighbouring input
     widths repaired) that most decreases the objective, stopping at a
-    local optimum or when the evaluator budget runs out.  The converged
-    network is expanded to nearby execution-time local minima, and the
-    expansion is kept only if it does not worsen the objective, so the
-    result never scores above the input network.
+    local optimum or when the evaluator budget (at least 1 call) runs
+    out.  The converged network is expanded to nearby execution-time
+    local minima, and the expansion is kept only if it does not worsen
+    the objective, so the result never scores above the input network.
     """
     _check_lam(lam)
+    if isinstance(budget, bool) or not budget >= 1:
+        raise ValueError(f"budget must be >= 1 evaluator call, got {budget!r}")
     grids = _check_grid(net, width_grid)
     objective = _Objective(evaluator, model_map, lam, budget)
     current = net
@@ -618,7 +621,8 @@ def brute_force_compress(
     Every width combination is expanded before scoring, exactly as
     ``expand_network`` would expand it; ties go to the lexicographically
     smallest widths.  Each layer is expanded once per width pair it can
-    take, and each configuration is priced once.
+    take, and the objective never predicts a configuration that a table
+    entry already priced.
     """
     _check_lam(lam)
     grids = _check_grid(net, width_grid)
@@ -629,6 +633,11 @@ def brute_force_compress(
         raise ValueError(f"search space of {total} candidates is too large")
     objective = _Objective(evaluator, model_map, lam, budget=math.inf)
     tables = _width_tables(model_map, net, grids)
+    # expand_layer already predicted both ends of every entry
+    for _, table in tables:
+        for entry in table.values():
+            objective.prices[entry.original] = entry.time_before
+            objective.prices[entry.expanded] = entry.time_after
     best: tuple[float, NetworkSpec] | None = None
     for widths in itertools.product(*grids):
         entries = [
@@ -720,11 +729,16 @@ class CommandEvaluator:
     """
 
     def __init__(self, command: str | Sequence[str]):
+        # imported here: only an external evaluator needs shlex and subprocess
+        import shlex
+
         self.argv = shlex.split(command) if isinstance(command, str) else list(command)
         if not self.argv:
             raise ValueError("evaluator command must not be empty")
 
     def __call__(self, net: NetworkSpec) -> float:
+        import subprocess
+
         with tempfile.TemporaryDirectory(prefix="layertime-eval-") as workdir:
             path = Path(workdir) / "network.json"
             path.write_bytes(save_network(net))

@@ -358,12 +358,49 @@ def test_non_finite_lambda_is_a_usage_error(tmp_path, capsys, lam):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("budget", ["0", "-4"])
+@pytest.mark.parametrize("search", [[], ["--brute-force"]], ids=["greedy", "brute-force"])
+def test_budget_below_one_is_a_usage_error(tmp_path, capsys, budget, search):
+    model_path = write_reference_model(tmp_path)
+    net_path = write_network(tmp_path, [cnn(24, 24, 3, 3, 8, 64)])
+    out_path = tmp_path / "compressed.json"
+    code = main([
+        "compress", "--model", str(model_path), "--network", str(net_path),
+        f"--budget={budget}", *search, "--out", str(out_path),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: usage: --budget")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("networks", ["0", "-3"])
+def test_plan_without_networks_is_a_usage_error(tmp_path, capsys, networks):
+    out_path = tmp_path / "plan.jsonl"
+    code = main(["plan", f"--networks={networks}", "--out", str(out_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: usage: --networks")
+    assert not out_path.exists()
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats dominates a cold start, and only `analyze` needs it;
     # hashlib loads OpenSSL, and only `synth` needs it
     probe = (
         "import sys, layertime.cli; "
         "print('scipy.stats' in sys.modules, '_hashlib' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert result.stdout.strip() == "False False"
+
+
+def test_cli_import_leaves_subprocess_and_shlex_unloaded():
+    # only an external --evaluator-cmd runs a child process
+    probe = (
+        "import sys, layertime.cli; "
+        "print('subprocess' in sys.modules, 'shlex' in sys.modules)"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True,

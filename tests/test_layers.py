@@ -1,6 +1,7 @@
 """Structure configs, convolution arithmetic, and derived vectors."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -285,3 +286,41 @@ def test_value_types_are_slotted(config):
         dataclasses.replace(config, **{out_field: 0})
     if config.kind is LayerKind.CNN:
         assert dataclasses.replace(config, padding="same").padding is Padding.SAME
+
+
+def _built_three_ways(kind, padding):
+    """One config built by its factory, decoded from a dict, and replaced into shape."""
+    if kind is LayerKind.CNN:
+        direct = cnn(24, 24, 3, 3, 8, 16, padding=padding.value)
+        other = next(p for p in Padding if p is not padding)
+        replaced = dataclasses.replace(
+            cnn(24, 24, 3, 3, 8, 32, padding=other), out_channel=16, padding=padding.value
+        )
+    elif kind is LayerKind.FC:
+        direct, replaced = fc(8, 16), dataclasses.replace(fc(8, 32), out_dim=16)
+    else:
+        factory = gru if kind is LayerKind.GRU else lstm
+        direct, replaced = factory(8, 16, 4), dataclasses.replace(factory(8, 32, 4), out_dim=16)
+    decoded = config_from_dict(json.loads(json.dumps(config_to_dict(direct))))
+    return direct, decoded, replaced
+
+
+@pytest.mark.parametrize(
+    "kind, padding",
+    [(LayerKind.CNN, padding) for padding in Padding]
+    + [(kind, None) for kind in LayerKind if kind is not LayerKind.CNN],
+    ids=str,
+)
+def test_equal_configs_hash_equal_however_built(kind, padding):
+    # layer kinds and paddings hash by identity, which agrees with == only
+    # because every route to a member yields the one singleton
+    direct, decoded, replaced = _built_three_ways(kind, padding)
+    assert direct == decoded == replaced
+    assert decoded.kind is replaced.kind is kind and LayerKind(kind.value) is kind
+    assert decoded.padding is replaced.padding is padding
+    assert padding is None or Padding(padding.value) is padding
+    assert hash(direct) == hash(decoded) == hash(replaced)
+    prices = {direct: 1.0}
+    prices[decoded] = 2.0
+    prices[replaced] = 3.0
+    assert prices == {direct: 3.0}

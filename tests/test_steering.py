@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -23,7 +23,7 @@ from conftest import (
     two_leaf_channel_model,
 )
 from layertime.harness import default_oracle
-from layertime.layers import LayerKind, cnn, derive_explanatory, fc, gru, lstm
+from layertime.layers import LayerKind, cnn, derive_explanatory, fc, gru, lstm, width_fields
 from layertime import cli, steering
 from layertime.steering import (
     CommandEvaluator,
@@ -530,6 +530,14 @@ def test_budget_limits_evaluator_calls(reference_model):
     assert len(calls) <= 2
 
 
+@pytest.mark.parametrize("budget", [0, -4, 0.5, True, float("nan")])
+def test_budget_below_one_is_an_error(reference_model, budget):
+    models = {LayerKind.CNN: reference_model}
+    net = NetworkSpec((cnn(24, 24, 3, 3, 8, 16),))
+    with pytest.raises(ValueError, match="budget"):
+        greedy_compress(lambda _: 0.0, models, net, 1.0, [[4, 8, 16]], budget=budget)
+
+
 def test_empty_grid_is_an_error(reference_model):
     models = {LayerKind.CNN: reference_model}
     net = NetworkSpec((cnn(24, 24, 3, 3, 8, 16),))
@@ -660,6 +668,145 @@ def test_brute_force_matches_the_per_candidate_reference(kinds, seed, lam, loss_
     expected = reference_brute_force(loss("reference"), models, net, lam, grids)
     assert save_network(result) == save_network(expected)
     assert calls["table"] == calls["reference"]
+
+
+class _Spent(Exception):
+    pass
+
+
+def reference_apply_widths(net, widths):
+    """Every layer's output width set, and each shared next input repaired."""
+    layers = list(net.layers)
+    for i, width in enumerate(widths):
+        out_field = width_fields(layers[i].kind)[1]
+        layers[i] = dataclasses.replace(layers[i], **{out_field: int(width)})
+        if i + 1 < len(layers) and steering._coupled_kinds(layers[i].kind, layers[i + 1].kind):
+            in_field = width_fields(layers[i + 1].kind)[0]
+            layers[i + 1] = dataclasses.replace(layers[i + 1], **{in_field: int(width)})
+    return NetworkSpec(tuple(layers))
+
+
+def reference_greedy(evaluator, model_map, net, lam, grids, budget):
+    """Coordinate descent that rebuilds every layer of every candidate move."""
+    scores = {}
+
+    def score(candidate):
+        if candidate not in scores:
+            if len(scores) >= budget:
+                raise _Spent
+            scores[candidate] = float(evaluator(candidate)) + lam * network_time(model_map, candidate)
+        return scores[candidate]
+
+    current = net
+    try:
+        best = score(current)
+        while True:
+            widths = steering._current_widths(current)
+            move = None
+            for i, grid in enumerate(grids):
+                for width in grid:
+                    if width == widths[i]:
+                        continue
+                    candidate = reference_apply_widths(current, widths[:i] + [width] + widths[i + 1:])
+                    value = score(candidate)
+                    if value < best and (move is None or value < move[0]):
+                        move = (value, candidate)
+            if move is None:
+                break
+            best, current = move
+        expanded, _ = reference_expand_network(model_map, current)
+        if expanded != current and score(expanded) <= best:
+            current = expanded
+    except _Spent:
+        pass
+    return current
+
+
+CNN, FC, GRU, LSTM = LayerKind.CNN, LayerKind.FC, LayerKind.GRU, LayerKind.LSTM
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(list(LayerKind)), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_apply_widths_matches_the_full_rebuild(kinds, seed, data):
+    _, net, grids, _ = mixed_compression_instance(kinds, seed)
+    widths = [data.draw(st.sampled_from([*grid, 1, 48])) for grid in grids]
+    assert steering._apply_widths(net, widths) == reference_apply_widths(net, widths)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(list(LayerKind)), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+    lam=st.sampled_from([0.0, 0.1, 1.0, 10.0]),
+    budget=st.one_of(st.integers(1, 12), st.just(1000)),
+)
+@example(kinds=[CNN, CNN, CNN], seed=3, lam=1.0, budget=1000)
+@example(kinds=[CNN, CNN], seed=5, lam=0.1, budget=4)
+@example(kinds=[FC, GRU], seed=7, lam=1.0, budget=1000)
+@example(kinds=[FC, GRU, GRU], seed=11, lam=10.0, budget=6)
+@example(kinds=[CNN, FC], seed=13, lam=1.0, budget=1000)
+@example(kinds=[CNN, FC, GRU], seed=17, lam=0.1, budget=3)
+def test_greedy_matches_the_apply_widths_reference(kinds, seed, lam, budget):
+    models, net, grids, weights = mixed_compression_instance(kinds, seed)
+    # wider grids than brute force gets, so the descent takes several moves
+    rng = np.random.default_rng(seed)
+    grids = [sorted({*grid, *(int(w) for w in rng.integers(1, 49, size=3))}) for grid in grids]
+    calls = {"moves": [], "reference": []}
+
+    def loss(name):
+        def evaluator(network):
+            calls[name].append(network)
+            return width_loss(weights)(network)
+
+        return evaluator
+
+    result = greedy_compress(loss("moves"), models, net, lam, grids, budget=budget)
+    expected = reference_greedy(loss("reference"), models, net, lam, grids, budget)
+    assert save_network(result) == save_network(expected)
+    assert calls["moves"] == calls["reference"]
+    assert len(calls["moves"]) <= budget
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize(
+    "kinds",
+    [[CNN, CNN, CNN], [FC, GRU], [CNN, FC], [FC, FC, LSTM]],
+    ids=lambda kinds: "-".join(kind.value for kind in kinds),
+)
+def test_brute_force_prices_no_table_config_again(monkeypatch, kinds, seed):
+    # expand_layer, unchanged, predicts both ends of each table entry; the
+    # objective reuses those prices and predicts every other config once
+    models, net, grids, weights = mixed_compression_instance(kinds, seed)
+    predicted, entries, inside = [], [], []
+    predict, expand = TimeModel.predict, steering.expand_layer
+
+    def counting_predict(self, config):
+        (inside[-1] if inside else predicted).append(config)
+        return predict(self, config)
+
+    def recording_expand(model, config):
+        inside.append([])
+        result = expand(model, config)
+        ends, entry = inside.pop(), result[1]
+        assert ends[0] == entry.original and len(ends) == 2
+        entries.append(entry)
+        return result
+
+    monkeypatch.setattr(TimeModel, "predict", counting_predict)
+    monkeypatch.setattr(steering, "expand_layer", recording_expand)
+    brute_force_compress(width_loss(weights), models, net, 1.0, grids)
+    table_sizes = [
+        len(grid) * (len(grids[i - 1]) if i and steering._coupled_kinds(kinds[i - 1], kind) else 1)
+        for i, (kind, grid) in enumerate(zip(kinds, grids))
+    ]
+    assert len(entries) == sum(table_sizes)
+    table_configs = {c for entry in entries for c in (entry.original, entry.expanded)}
+    assert len(predicted) == len(set(predicted))
+    assert not table_configs & set(predicted)
 
 
 def reverting_fc_model():
