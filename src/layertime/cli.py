@@ -398,7 +398,8 @@ def _parse_width_grid(spec: str, net) -> list[list[int]]:
         fractions = [float(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError as exc:
         raise _UsageError(f"bad --width-grid: {exc}") from exc
-    if not fractions or any(f <= 0 or f > 1 for f in fractions):
+    # written so that NaN fails it too
+    if not fractions or any(not 0 < f <= 1 for f in fractions):
         raise _UsageError("--width-grid needs fractions in (0, 1]")
     grids = []
     for layer in net.layers:

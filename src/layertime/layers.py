@@ -96,14 +96,22 @@ _ALL_FIELDS = (
 
 _MEMORY_FEATURES = ("mem_in", "mem_out", "mem_inter", "param_size")
 
+# Per kind, every field in ``_ALL_FIELDS`` order with whether the kind
+# requires it: validation walks this plan instead of testing membership.
+_CHECK_PLAN = {
+    kind: tuple((name, name in required) for name in _ALL_FIELDS)
+    for kind, required in _FIELDS_BY_KIND.items()
+}
+
 
 @dataclass(frozen=True, slots=True)
 class StructureConfig:
     """Structural hyperparameters of one layer.
 
     Only the fields belonging to ``kind`` may be set; everything else must
-    stay ``None``.  Counts are positive integers, ``stride`` is 1 or 2, and
-    ``valid`` padding requires the kernel to fit inside the input extent.
+    stay ``None``.  Counts are positive integers, ``stride`` is 1 or 2,
+    ``padding`` is a :class:`Padding` (or its text), and ``valid`` padding
+    requires the kernel to fit inside the input extent.
     """
 
     kind: LayerKind
@@ -120,29 +128,30 @@ class StructureConfig:
     step: int | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.kind, LayerKind):
-            raise ValueError(f"unknown layer kind: {self.kind!r}")
+        kind = self.kind
+        if not isinstance(kind, LayerKind):
+            raise ValueError(f"unknown layer kind: {kind!r}")
         if isinstance(self.padding, str):
             object.__setattr__(self, "padding", Padding(self.padding))
-        required = _FIELDS_BY_KIND[self.kind]
-        for name in _ALL_FIELDS:
+        for name, required in _CHECK_PLAN[kind]:
             value = getattr(self, name)
-            if name not in required:
+            if not required:
                 if value is not None:
-                    raise ValueError(
-                        f"{name} is not a field of {self.kind.value} layers"
-                    )
-                continue
-            if value is None:
-                raise ValueError(f"{self.kind.value} layer requires {name}")
-            if name == "padding":
-                continue
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-        if self.kind is LayerKind.CNN:
+                    raise ValueError(f"{name} is not a field of {kind.value} layers")
+            elif value is None:
+                raise ValueError(f"{kind.value} layer requires {name}")
+            elif name == "padding":
+                if not isinstance(value, Padding):
+                    raise ValueError(f"padding must be 'valid' or 'same', got {value!r}")
+            else:
+                # an exact int is stored as given; other integers become one
+                if type(value) is not int:
+                    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                        raise ValueError(f"{name} must be an integer, got {value!r}")
+                    object.__setattr__(self, name, int(value))
+                if value < 1:
+                    raise ValueError(f"{name} must be >= 1, got {value}")
+        if kind is LayerKind.CNN:
             if self.stride not in (1, 2):
                 raise ValueError(f"stride must be 1 or 2, got {self.stride}")
             if self.padding is Padding.VALID and (
@@ -325,33 +334,43 @@ def _derived(config: StructureConfig) -> tuple[int, int, int, int, int]:
     return (*memory, param_size, 2 * step * param_size)
 
 
-def _feature_values(config: StructureConfig, derived: tuple[int, ...]) -> list[float]:
-    values: list[float] = []
-    for name in _FIELDS_BY_KIND[config.kind]:
-        raw = getattr(config, name)
-        values.append(float(PADDING_CODES[raw] if name == "padding" else raw))
-    # the first four derived values are the memory features, in their order
-    values.extend(map(float, derived[:4]))
-    return values
-
-
-def _explanatory_values(config: StructureConfig, derived: tuple[int, ...]) -> list[float]:
-    mem_in, mem_out, mem_inter, param_size, flops = derived
-    values = [float(flops), float(mem_in + mem_out + mem_inter), float(param_size)]
-    if config.kind in RECURRENT_KINDS:
-        values.append(float(config.step))
-    return values
+def _n_features(kind: LayerKind) -> int:
+    return len(_FIELDS_BY_KIND[kind]) + len(_MEMORY_FEATURES)
 
 
 def _row_values(config: StructureConfig) -> list[float]:
-    """Feature values, then explanatory values, of a configuration from one derivation."""
-    derived = _derived(config)
-    return _feature_values(config, derived) + _explanatory_values(config, derived)
+    """Feature values, then explanatory values, of a configuration from one derivation.
+
+    Raises ``ValueError`` when a field or a derived size does not fit a float.
+    """
+    mem_in, mem_out, mem_inter, param_size, flops = _derived(config)
+    values: list[float] = []
+    try:
+        for name in _FIELDS_BY_KIND[config.kind]:
+            raw = getattr(config, name)
+            values.append(float(PADDING_CODES[raw] if name == "padding" else raw))
+        values += (float(mem_in), float(mem_out), float(mem_inter), float(param_size))
+        values += (float(flops), float(mem_in + mem_out + mem_inter), float(param_size))
+        if config.kind in RECURRENT_KINDS:
+            values.append(float(config.step))
+    except OverflowError:
+        raise ValueError(
+            f"{config.kind.value} config has a size too large for a float"
+        ) from None
+    return values
+
+
+def _row_arrays(config: StructureConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Feature and explanatory arrays of a configuration from one derivation."""
+    values = _row_values(config)
+    n = _n_features(config.kind)
+    return np.array(values[:n]), np.array(values[n:])
 
 
 def derive_features(config: StructureConfig) -> FeatureVector:
     """Feature vector of a configuration: structural fields plus memory sizes."""
-    return FeatureVector(kind=config.kind, values=tuple(_feature_values(config, _derived(config))))
+    values = _row_values(config)
+    return FeatureVector(kind=config.kind, values=tuple(values[: _n_features(config.kind)]))
 
 
 def derive_explanatory(config: StructureConfig) -> ExplanatoryVector:
@@ -360,7 +379,8 @@ def derive_explanatory(config: StructureConfig) -> ExplanatoryVector:
     ``mem`` is the sum of the three memory features; ``step`` is copied
     through for recurrent kinds only.
     """
-    return ExplanatoryVector(*_explanatory_values(config, _derived(config)))
+    values = _row_values(config)
+    return ExplanatoryVector(*values[_n_features(config.kind):])
 
 
 def config_to_dict(config: StructureConfig) -> dict:

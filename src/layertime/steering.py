@@ -16,6 +16,7 @@ expensive and side-effect-free; the search invokes the evaluator at most
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -30,14 +31,16 @@ from .layers import (
     RECURRENT_KINDS,
     LayerKind,
     StructureConfig,
+    _row_arrays,
     config_from_dict,
     config_to_dict,
-    derive_explanatory,
     derive_features,
     explanatory_names,
     feature_names,
     width_fields,
 )
+# unused here: bound so that tracers which wrap this name per module find it
+from .layers import derive_explanatory  # noqa: F401
 from .tree import FORMAT_VERSION, ConditionKind, TimeModel, _parse_json
 
 __all__ = [
@@ -95,13 +98,19 @@ def _coupled_kinds(a: LayerKind, b: LayerKind) -> bool:
     return a in _DENSE_KINDS and b in _DENSE_KINDS
 
 
-def _shared_widths(layers: Sequence[StructureConfig]) -> list[tuple[int, str, str]]:
+def _shared_widths(layers: Sequence[StructureConfig]) -> tuple[tuple[int, str, str], ...]:
     """``(i, output field of layer i, input field of layer i + 1)`` per coupled pair."""
-    return [
-        (i, width_fields(a.kind)[1], width_fields(b.kind)[0])
-        for i, (a, b) in enumerate(zip(layers, layers[1:]))
-        if _coupled_kinds(a.kind, b.kind)
-    ]
+    return _junctions(tuple(layer.kind for layer in layers))
+
+
+@functools.lru_cache(maxsize=128)
+def _junctions(kinds: tuple[LayerKind, ...]) -> tuple[tuple[int, str, str], ...]:
+    # the junctions depend on the kind sequence alone, so each is found once
+    return tuple(
+        (i, width_fields(a)[1], width_fields(b)[0])
+        for i, (a, b) in enumerate(zip(kinds, kinds[1:]))
+        if _coupled_kinds(a, b)
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,8 +190,7 @@ def _walk_once(
     names = feature_names(model.kind)
     expandable = set(width_fields(model.kind))
     current = config
-    f = derive_features(current).as_array()
-    x = derive_explanatory(current).as_array()
+    f, x = _row_arrays(current)
     trail: list = []
     accepted: list[AcceptedExpansion] = []
     node = model.root
@@ -205,8 +213,7 @@ def _walk_once(
         field = names[cond.feature_index]
         if field in expandable and target <= _EXPANSION_CAP * getattr(original, field):
             candidate = dc_replace(current, **{field: int(target)})
-            f_hat = derive_features(candidate).as_array()
-            x_hat = derive_explanatory(candidate).as_array()
+            f_hat, x_hat = _row_arrays(candidate)
             expanded_time = float(node.left.fit.predict(x_hat))
             current_time = float(node.right.fit.predict(x))
             if expanded_time <= current_time and _obeys_trail(trail, f_hat):
@@ -483,14 +490,18 @@ class _Objective:
         self.cache: dict[NetworkSpec, float] = {}
         self.prices: dict[StructureConfig, float] = {}
 
+    # one dict lookup per hit, so a hit hashes its key once
     def price(self, config: StructureConfig) -> float:
         """Predicted time of one layer, each distinct configuration priced once."""
-        if config not in self.prices:
-            self.prices[config] = _model_for(self.model_map, config.kind).predict(config)
-        return self.prices[config]
+        predicted = self.prices.get(config)
+        if predicted is None:
+            predicted = _model_for(self.model_map, config.kind).predict(config)
+            self.prices[config] = predicted
+        return predicted
 
     def __call__(self, net: NetworkSpec) -> float:
-        if net not in self.cache:
+        value = self.cache.get(net)
+        if value is None:
             if self.calls >= self.budget:
                 raise _BudgetExhausted
             self.calls += 1
@@ -498,8 +509,9 @@ class _Objective:
             if not math.isfinite(loss) or loss < 0:
                 raise EvaluationError(f"evaluator returned invalid loss {loss!r}")
             # the same terms in the same order as network_time
-            self.cache[net] = loss + self.lam * sum(self.price(c) for c in net.layers)
-        return self.cache[net]
+            value = loss + self.lam * sum(self.price(c) for c in net.layers)
+            self.cache[net] = value
+        return value
 
 
 def _check_grid(net: NetworkSpec, width_grid: Sequence[Sequence[int]]) -> list[list[int]]:

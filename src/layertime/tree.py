@@ -29,12 +29,13 @@ import numpy as np
 from .layers import (
     LayerKind,
     StructureConfig,
+    _row_arrays,
     _row_values,
-    derive_explanatory,
-    derive_features,
     explanatory_names,
     feature_names,
 )
+# unused here: bound so that tracers which wrap these names per module find them
+from .layers import derive_explanatory, derive_features  # noqa: F401
 from .nnls import nnls
 
 __all__ = [
@@ -295,8 +296,8 @@ class TimeModel:
             raise ValueError(
                 f"model fits {self.kind.value} layers, got {config.kind.value}"
             )
-        leaf = self.route_features(derive_features(config).as_array())
-        return float(leaf.fit.predict(derive_explanatory(config).as_array()))
+        features, explanatory = _row_arrays(config)
+        return float(self.route_features(features).fit.predict(explanatory))
 
     def predict_rows(self, features: np.ndarray, explanatory: np.ndarray) -> np.ndarray:
         """Vector of predictions for pre-derived feature/explanatory rows."""

@@ -22,6 +22,7 @@ from layertime.harness import (
 from layertime.layers import LayerKind, cnn, config_from_dict, config_to_dict, fc
 from layertime.steering import (
     CommandEvaluator,
+    NetworkFormatError,
     NetworkSpec,
     greedy_compress,
     load_network,
@@ -310,6 +311,73 @@ def test_non_object_config_record_is_a_data_error(tmp_path, capsys, record):
     assert captured.out == ""
     assert captured.err.count("error: data: ") == 2 and "Traceback" not in captured.err
     assert not out.exists()
+
+
+def _assert_data_error(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: data: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("padding", [5, True, 1.5], ids=["int", "bool", "float"])
+def test_padding_that_is_not_a_padding_is_a_data_error(tmp_path, capsys, padding):
+    record = config_to_dict(cnn(24, 24, 3, 3, 43, 64))
+    record["padding"] = padding
+    with pytest.raises(ValueError, match="padding must be 'valid' or 'same'"):
+        config_from_dict(record)
+    doc = json.loads(save_network(NetworkSpec((cnn(24, 24, 3, 3, 43, 64),))))
+    doc["layers"][0]["padding"] = padding
+    with pytest.raises(NetworkFormatError, match="padding must be 'valid' or 'same'"):
+        load_network(json.dumps(doc))
+    model_path = write_reference_model(tmp_path)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(record))
+    assert main(["predict", "--model", str(model_path), "--config", str(config_path)]) == 2
+    _assert_data_error(capsys)
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps(doc))
+    out_path = tmp_path / "expanded.json"
+    code = main(["expand", "--model", str(model_path), "--network", str(net_path),
+                 "--out", str(out_path)])
+    assert code == 2
+    _assert_data_error(capsys)
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("in_channel", 10**400), ("in_height", 10**309), ("out_channel", 10**200)],
+    ids=["in_channel 1e400", "in_height 1e309", "channels 1e200"],
+)
+def test_sizes_beyond_a_float_are_data_errors(tmp_path, capsys, field, value):
+    record = config_to_dict(cnn(24, 24, 3, 3, 43, 64))
+    record[field] = value
+    if field == "out_channel":
+        # the field fits a float, its products with the input channels do not
+        record["in_channel"] = value
+    model_path = write_reference_model(tmp_path)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(record))
+    assert main(["predict", "--model", str(model_path), "--config", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: data: CNN config has a size too large for a float\n"
+
+
+@pytest.mark.parametrize("grid", ["nan", "0.5,nan", "NaN,1"])
+def test_nan_width_fraction_is_a_usage_error(tmp_path, capsys, grid):
+    model_path = write_reference_model(tmp_path)
+    net_path = write_network(tmp_path, [cnn(24, 24, 3, 3, 8, 64)])
+    out_path = tmp_path / "compressed.json"
+    code = main([
+        "compress", "--model", str(model_path), "--network", str(net_path),
+        f"--width-grid={grid}", "--out", str(out_path),
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: usage: --width-grid needs fractions in (0, 1]\n"
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize(

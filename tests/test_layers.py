@@ -5,12 +5,15 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from layertime import layers
 from layertime.layers import (
     LayerKind,
     Padding,
+    StructureConfig,
+    _row_values,
     cnn,
     config_from_dict,
     config_to_dict,
@@ -242,6 +245,117 @@ def test_valid_padding_kernel_must_fit():
     with pytest.raises(ValueError):
         cnn(24, 24, 25, 25, 4, 4, stride=1, padding="valid")
     cnn(25, 25, 25, 25, 4, 4, stride=1, padding="valid")  # boundary is fine
+
+
+def reference_post_init(kind, fields):
+    """The field loop the check plan replaced, run on a dict of field values.
+
+    Returns the fields as stored, or raises as construction did.  The one
+    check added since is marked: a required padding must be a ``Padding``.
+    """
+    values = {name: fields.get(name) for name in layers._ALL_FIELDS}
+    if not isinstance(kind, LayerKind):
+        raise ValueError(f"unknown layer kind: {kind!r}")
+    if isinstance(values["padding"], str):
+        values["padding"] = Padding(values["padding"])
+    required = layers._FIELDS_BY_KIND[kind]
+    for name in layers._ALL_FIELDS:
+        value = values[name]
+        if name not in required:
+            if value is not None:
+                raise ValueError(f"{name} is not a field of {kind.value} layers")
+            continue
+        if value is None:
+            raise ValueError(f"{kind.value} layer requires {name}")
+        if name == "padding":
+            # added: a padding that is not a Padding would fail derivation
+            if not isinstance(value, Padding):
+                raise ValueError(f"padding must be 'valid' or 'same', got {value!r}")
+            continue
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        values[name] = int(value)
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    if kind is LayerKind.CNN:
+        if values["stride"] not in (1, 2):
+            raise ValueError(f"stride must be 1 or 2, got {values['stride']}")
+        if values["padding"] is Padding.VALID and (
+            values["kernel_height"] > values["in_height"]
+            or values["kernel_width"] > values["in_width"]
+        ):
+            raise ValueError("valid padding requires the kernel to fit inside the input")
+    return values
+
+
+_ODD_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 300),
+    st.integers(-3, 300).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    st.floats(allow_nan=True),
+    st.text(max_size=3),
+    st.sampled_from(["valid", "same", Padding.VALID, Padding.SAME, 2**70]),
+)
+
+
+@st.composite
+def field_dicts(draw):
+    """A kind, its fields mostly valid, a few replaced or added with odd values."""
+    kind = draw(st.sampled_from([*LayerKind, *LayerKind, "FC"]))
+    names = layers._FIELDS_BY_KIND[LayerKind(kind) if isinstance(kind, str) else kind]
+    fields = {name: draw(st.integers(1, 64)) for name in names}
+    if "padding" in fields:
+        fields["padding"] = draw(st.sampled_from(["valid", "same", Padding.VALID]))
+        fields["stride"] = draw(st.sampled_from([1, 2]))
+    odd = draw(st.lists(st.sampled_from(layers._ALL_FIELDS), max_size=3))
+    for name in odd:
+        fields[name] = draw(_ODD_VALUES)
+    return kind, fields
+
+
+def _outcome(build):
+    try:
+        return build()
+    except Exception as exc:  # compared by type and message below
+        return exc
+
+
+@settings(max_examples=400)
+@given(case=field_dicts())
+@example(case=(LayerKind.CNN, dict(in_height=24, in_width=24, kernel_height=3, kernel_width=3,
+                                   in_channel=8, out_channel=16, padding=5, stride=1)))
+def test_post_init_matches_the_previous_field_loop(case):
+    kind, fields = case
+    expected = _outcome(lambda: reference_post_init(kind, fields))
+    got = _outcome(lambda: StructureConfig(kind=kind, **fields))
+    if isinstance(expected, Exception):
+        assert type(got) is type(expected) and str(got) == str(expected)
+        return
+    assert isinstance(got, StructureConfig)
+    stored = {name: getattr(got, name) for name in layers._ALL_FIELDS}
+    assert stored == expected
+    assert {name: type(v) for name, v in stored.items()} == {
+        name: type(v) for name, v in expected.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        cnn(24, 24, 3, 3, 10**400, 16),
+        fc(10**308, 2),
+        # each field fits a float, but the derived sizes do not
+        fc(10**200, 10**200),
+        lstm(10**200, 4, 10**200),
+    ],
+    ids=["huge field", "huge parameter count", "huge product", "huge step product"],
+)
+def test_sizes_beyond_a_float_are_value_errors(config):
+    for derive in (_row_values, derive_features, derive_explanatory):
+        with pytest.raises(ValueError, match="too large for a float"):
+            derive(config)
 
 
 @given(config=any_config())

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import os
 import sys
 
@@ -23,9 +24,21 @@ from conftest import (
     two_leaf_channel_model,
 )
 from layertime.harness import default_oracle
-from layertime.layers import LayerKind, cnn, derive_explanatory, fc, gru, lstm, width_fields
+from layertime.layers import (
+    LayerKind,
+    StructureConfig,
+    cnn,
+    derive_explanatory,
+    derive_features,
+    fc,
+    feature_names,
+    gru,
+    lstm,
+    width_fields,
+)
 from layertime import cli, steering
 from layertime.steering import (
+    AcceptedExpansion,
     CommandEvaluator,
     ConflictResolution,
     EvaluationError,
@@ -854,6 +867,122 @@ def test_chain_trace_matches_the_reference_conflict_pass():
     assert len(trace.conflicts) == 48
     assert save_network(expanded) == save_network(expected)
     assert cli._trace_to_dict(trace) == cli._trace_to_dict(expected_trace)
+
+
+# --- each piece of pricing work done once -------------------------------------------
+
+
+def reference_walk_once(model, config, original):
+    """The tree walk before deriving once: features and explanatory derived apart."""
+    names = feature_names(model.kind)
+    expandable = set(width_fields(model.kind))
+    current = config
+    f = derive_features(current).as_array()
+    x = derive_explanatory(current).as_array()
+    trail = []
+    accepted = []
+    node = model.root
+    while not node.is_leaf:
+        cond = node.condition
+        if cond.kind is RANGE:
+            truth = bool(cond.holds(f))
+            trail.append((cond, truth))
+            node = node.left if truth else node.right
+            continue
+        tau = int(cond.tau)
+        value = f[cond.feature_index]
+        target = tau * math.ceil(value / tau)
+        if target == value:
+            expanded_time = float(node.left.fit.predict(x))
+            current_time = float(node.right.fit.predict(x))
+            node = node.left if expanded_time <= current_time else node.right
+            continue
+        field = names[cond.feature_index]
+        if field in expandable and target <= 2 * getattr(original, field):
+            candidate = dataclasses.replace(current, **{field: int(target)})
+            f_hat = derive_features(candidate).as_array()
+            x_hat = derive_explanatory(candidate).as_array()
+            expanded_time = float(node.left.fit.predict(x_hat))
+            current_time = float(node.right.fit.predict(x))
+            if expanded_time <= current_time and steering._obeys_trail(trail, f_hat):
+                accepted.append(AcceptedExpansion(field, tau, expanded_time, current_time))
+                current, f, x = candidate, f_hat, x_hat
+                node = node.left
+                continue
+        node = node.right
+    return current, accepted
+
+
+def width_tree_model(rng, kind):
+    """A random tree whose multiple conditions all test a width, so walks round often."""
+    model = random_tree_model(rng, kind=kind, max_depth=5)
+    names = feature_names(kind)
+    widths = [names.index(name) for name in width_fields(kind)]
+    for _, node in model.nodes():
+        if node.condition is not None and node.condition.kind is MULTIPLE:
+            node.condition = Condition(int(rng.choice(widths)), node.condition.tau, MULTIPLE)
+    return model
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(list(LayerKind)), seed=st.integers(0, 2**32 - 1))
+def test_walk_once_matches_the_two_derivation_reference(kind, seed):
+    rng = np.random.default_rng(seed)
+    for model in (width_tree_model(rng, kind), default_oracle().models[kind]):
+        for _ in range(10):
+            config = random_config(rng, kind)
+            walked = steering._walk_once(model, config, config)
+            assert walked == reference_walk_once(model, config, config)
+            # a second walk starts from the first one's result
+            again = steering._walk_once(model, walked[0], config)
+            assert again == reference_walk_once(model, walked[0], config)
+
+
+def reference_shared_widths(layers):
+    """The junction list before it was cached per kind sequence."""
+    return [
+        (i, width_fields(a.kind)[1], width_fields(b.kind)[0])
+        for i, (a, b) in enumerate(zip(layers, layers[1:]))
+        if steering._coupled_kinds(a.kind, b.kind)
+    ]
+
+
+_ONE_LAYER = {
+    LayerKind.FC: fc(4, 4),
+    LayerKind.CNN: cnn(8, 8, 3, 3, 4, 4),
+    LayerKind.GRU: gru(4, 4, 4),
+    LayerKind.LSTM: lstm(4, 4, 4),
+}
+
+
+@given(kinds=st.lists(st.sampled_from(list(LayerKind)), max_size=12))
+def test_shared_widths_match_the_list_reference(kinds):
+    layers = [_ONE_LAYER[kind] for kind in kinds]
+    junctions = steering._shared_widths(layers)
+    assert isinstance(junctions, tuple)
+    assert list(junctions) == reference_shared_widths(layers)
+    # one kind sequence, one computed junction tuple, in a bounded cache
+    assert steering._shared_widths(tuple(layers)) is junctions
+    assert steering._junctions.cache_info().maxsize is not None
+
+
+def test_a_memo_hit_hashes_its_key_once(monkeypatch, reference_model):
+    models = {LayerKind.CNN: reference_model}
+    net = NetworkSpec((cnn(24, 24, 3, 3, 8, 16), cnn(24, 24, 3, 3, 16, 32)))
+    objective = steering._Objective(lambda _: 1.0, models, 1.0, budget=10)
+    first = objective(net)
+    hashes = []
+    config_hash = StructureConfig.__hash__
+    monkeypatch.setattr(
+        StructureConfig, "__hash__", lambda self: hashes.append(self) or config_hash(self)
+    )
+    for n in (1, 2, 3):
+        assert objective.price(net.layers[0]) == reference_model.predict(net.layers[0])
+        assert len(hashes) == n
+    # a network hit hashes each of its layers once
+    assert objective(net) == first
+    assert len(hashes) == 3 + len(net.layers)
+    assert objective.calls == 1
 
 
 def test_steering_value_types_are_slotted(reference_model):

@@ -5,8 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import B_FALSE, B_TRUE, IN_CHANNEL, OUT_CHANNEL, W_FALSE, W_TRUE, leaf
-from layertime.layers import LayerKind, cnn, derive_explanatory, fc
+from conftest import (
+    B_FALSE,
+    B_TRUE,
+    IN_CHANNEL,
+    OUT_CHANNEL,
+    W_FALSE,
+    W_TRUE,
+    leaf,
+    random_config,
+    random_tree_model,
+)
+from layertime import layers
+from layertime.layers import (
+    PADDING_CODES,
+    RECURRENT_KINDS,
+    LayerKind,
+    cnn,
+    derive_explanatory,
+    fc,
+)
 from layertime.tree import (
     Condition,
     ConditionKind,
@@ -440,6 +458,53 @@ def test_prediction_positive_when_fit_contributes():
         model = TimeModel(kind=LayerKind.CNN, root=leaf(w, b))
         config = random_cnn_configs(rng, 1)[0]
         assert model.predict(config) > 0.0
+
+
+# The two-derivation predict that deriving once replaced, with the feature
+# and explanatory builders it called, kept as the reference.
+
+
+def reference_feature_values(config):
+    values = []
+    for name in layers._FIELDS_BY_KIND[config.kind]:
+        raw = getattr(config, name)
+        values.append(float(PADDING_CODES[raw] if name == "padding" else raw))
+    values.extend(map(float, layers._derived(config)[:4]))
+    return values
+
+
+def reference_explanatory_values(config):
+    mem_in, mem_out, mem_inter, param_size, flops = layers._derived(config)
+    values = [float(flops), float(mem_in + mem_out + mem_inter), float(param_size)]
+    if config.kind in RECURRENT_KINDS:
+        values.append(float(config.step))
+    return values
+
+
+def reference_predict(model, config):
+    features = np.asarray(tuple(reference_feature_values(config)), dtype=float)
+    explanatory = np.asarray(reference_explanatory_values(config), dtype=float)
+    return float(model.route_features(features).fit.predict(explanatory))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(list(LayerKind)), seed=st.integers(0, 2**32 - 1))
+def test_predict_is_bit_identical_to_the_two_derivation_reference(kind, seed):
+    rng = np.random.default_rng(seed)
+    model = random_tree_model(rng, kind)
+    for _ in range(20):
+        config = random_config(rng, kind)
+        assert model.predict(config).hex() == reference_predict(model, config).hex()
+
+
+def test_predict_derives_once(monkeypatch, reference_model):
+    calls = []
+    derived = layers._derived
+    monkeypatch.setattr(layers, "_derived", lambda config: calls.append(config) or derived(config))
+    config = cnn(24, 24, 3, 3, 43, 64)
+    for n in (1, 2, 3):
+        reference_model.predict(config)
+        assert len(calls) == n
 
 
 def test_tree_shape_validation():
