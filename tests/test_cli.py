@@ -269,6 +269,63 @@ def test_invalid_model_values_are_data_errors(tmp_path, capsys, mutation):
     assert captured.err.startswith("error: data: ") and "node 0" in captured.err
 
 
+def write_overflowing_model(tmp_path):
+    """The default oracle, with finite CNN true-branch weights that overflow."""
+    doc = json.loads(save_oracle(default_oracle()))
+    cnn_doc = next(m for m in doc["models"] if m["layer_kind"] == "CNN")
+    true_branch = cnn_doc["nodes"][1]
+    assert true_branch["cond"] is None
+    true_branch["w"] = [1e303, 0.0, 0.0]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _assert_numeric_error(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: numeric: ") and "non-finite" in captured.err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_non_finite_prediction_exits_three(tmp_path, capsys):
+    model_path = write_overflowing_model(tmp_path)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config_to_dict(cnn(24, 24, 3, 3, 44, 64))))
+    assert main(["predict", "--model", str(model_path), "--config", str(config_path)]) == 3
+    _assert_numeric_error(capsys)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_non_finite_expansion_exits_three_and_writes_nothing(tmp_path, capsys):
+    model_path = write_overflowing_model(tmp_path)
+    net_path = write_network(tmp_path, [cnn(24, 24, 3, 3, 44, 64)])
+    out_path = tmp_path / "expanded.json"
+    trace_path = tmp_path / "trace.json"
+    code = main([
+        "expand", "--model", str(model_path), "--network", str(net_path),
+        "--out", str(out_path), "--trace", str(trace_path),
+    ])
+    assert code == 3
+    _assert_numeric_error(capsys)
+    assert not out_path.exists() and not trace_path.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("search", [[], ["--brute-force"]], ids=["greedy", "brute-force"])
+def test_non_finite_compression_exits_three_and_writes_nothing(tmp_path, capsys, search):
+    model_path = write_overflowing_model(tmp_path)
+    net_path = write_network(tmp_path, [cnn(24, 24, 3, 3, 44, 64)])
+    out_path = tmp_path / "compressed.json"
+    code = main([
+        "compress", "--model", str(model_path), "--network", str(net_path),
+        "--lambda", "1.0", *search, "--out", str(out_path),
+    ])
+    assert code == 3
+    _assert_numeric_error(capsys)
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("mutation", ["duplicate id", "unreachable node"])
 def test_stray_model_nodes_are_data_errors(tmp_path, capsys, mutation):
     oracle_doc = json.loads(save_oracle(default_oracle()))

@@ -23,8 +23,10 @@ from layertime.layers import (
     LayerKind,
     cnn,
     derive_explanatory,
+    derive_features,
     fc,
 )
+from layertime.nnls import NumericError
 from layertime.tree import (
     Condition,
     ConditionKind,
@@ -448,6 +450,21 @@ def test_reference_prediction_at_44_64(reference_model):
 def test_predict_rejects_kind_mismatch(reference_model):
     with pytest.raises(ValueError):
         reference_model.predict(fc(3, 5))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_non_finite_prediction_is_a_numeric_error():
+    # finite weights whose product with a real config overflows
+    model = TimeModel(kind=LayerKind.CNN, root=leaf((1e303, 0.0, 0.0), 1.0))
+    config = cnn(24, 24, 3, 3, 44, 64)
+    with pytest.raises(NumericError, match="non-finite"):
+        model.predict(config)
+    # one finite row, then the overflowing one
+    configs = (cnn(8, 8, 1, 1, 1, 1), config)
+    features = np.stack([derive_features(c).as_array() for c in configs])
+    explanatory = np.stack([derive_explanatory(c).as_array() for c in configs])
+    with pytest.raises(NumericError, match="non-finite"):
+        model.predict_rows(features, explanatory)
 
 
 def test_prediction_positive_when_fit_contributes():
