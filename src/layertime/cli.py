@@ -11,54 +11,42 @@ import argparse
 import json
 import math
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import (
-    ConvGeometry,
-    coefficient_pvalues,
-    expansion_benefit,
-    safe_region,
-    verify_region,
-)
-from .harness import (
-    ProfileFormatError,
-    default_oracle,
-    generate_plan,
-    ingest_profile,
-    load_oracle,
-    load_plan,
-    save_plan,
-    synth_profile,
-    write_profile,
-)
 from .layers import LayerKind, config_from_dict, config_to_dict, feature_names, width_fields
 from .nnls import NumericError
-from .steering import (
-    CommandEvaluator,
-    EvaluationError,
-    NetworkFormatError,
-    brute_force_compress,
-    expand_network,
-    greedy_compress,
-    load_network,
-    network_time,
-    save_network,
-)
-from .tree import (
-    ConditionKind,
-    Dataset,
-    FitParams,
-    ModelFormatError,
-    fit_tree,
-    load_models,
-    save_models,
-)
+from .tree import ConditionKind, Dataset, FitParams, fit_tree, load_models, save_models
 
 __all__ = ["main"]
 
 _DEFAULT_WIDTH_FRACTIONS = (0.125, 0.25, 0.5, 1.0)
+
+
+def _deferred(module: str, name: str):
+    """A stand-in for ``module.name`` that imports ``module`` when first called.
+
+    Each subcommand then loads only the modules it runs.  The stand-ins stay
+    module-level names that the subcommands look up at call time, so
+    replacing ``layertime.cli.<name>`` (as ``bench/tracer.py`` does) reaches
+    every call.
+    """
+    def call(*args, **kwargs):
+        return getattr(import_module(f".{module}", __package__), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+generate_plan = _deferred("harness", "generate_plan")
+synth_profile = _deferred("harness", "synth_profile")
+coefficient_pvalues = _deferred("analysis", "coefficient_pvalues")
+expand_network = _deferred("steering", "expand_network")
+network_time = _deferred("steering", "network_time")
+greedy_compress = _deferred("steering", "greedy_compress")
+brute_force_compress = _deferred("steering", "brute_force_compress")
 
 
 class _UsageError(Exception):
@@ -148,26 +136,33 @@ def main(argv=None) -> int:
         print("error: usage: a subcommand is required (see --help)", file=sys.stderr)
         return 1
     try:
-        return args.func(args)
+        # a non-finite result is reported once, as a NumericError, not also
+        # as numpy's overflow warning
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except _UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 1
     except NumericError as exc:
         print(f"error: numeric: {exc}", file=sys.stderr)
         return 3
-    except (
-        ModelFormatError,
-        ProfileFormatError,
-        NetworkFormatError,
-        EvaluationError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:  # every *FormatError is a ValueError
+        print(f"error: data: {exc}", file=sys.stderr)
+        return 2
+    except RuntimeError as exc:
+        # only steering raises EvaluationError, so it is imported here, on
+        # the error path, rather than by every subcommand
+        from .steering import EvaluationError
+
+        if not isinstance(exc, EvaluationError):
+            raise
         print(f"error: data: {exc}", file=sys.stderr)
         return 2
 
 
 def _cmd_plan(args) -> int:
+    from .harness import save_plan
+
     if args.networks < 1:
         raise _UsageError("--networks must be >= 1")
     plan = generate_plan(scope=args.scope, n_networks=args.networks, seed=args.seed)
@@ -177,12 +172,16 @@ def _cmd_plan(args) -> int:
 
 
 def _load_oracle_arg(spec: str):
+    from .harness import default_oracle, load_oracle
+
     if spec == "default":
         return default_oracle()
     return load_oracle(Path(spec).read_bytes())
 
 
 def _cmd_synth(args) -> int:
+    from .harness import load_plan, write_profile
+
     plan = load_plan(args.plan)
     oracle = _load_oracle_arg(args.oracle)
     write_profile(synth_profile(oracle, plan), args.out)
@@ -200,6 +199,8 @@ def _split_dataset(dataset: Dataset, rng: np.random.Generator) -> tuple[Dataset,
 
 
 def _cmd_fit(args) -> int:
+    from .harness import ingest_profile
+
     try:
         params = FitParams(
             mape_stop=args.mape_stop, min_leaf=args.min_leaf, max_depth=args.max_depth
@@ -241,7 +242,7 @@ def _cmd_fit(args) -> int:
 def _load_config_file(path: str):
     try:
         record = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     return config_from_dict(record)
 
@@ -258,6 +259,9 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .analysis import ConvGeometry, expansion_benefit, safe_region, verify_region
+    from .harness import ingest_profile
+
     models = load_models(Path(args.model).read_bytes())
     report: dict = {"format_version": "1.0", "significance": {}, "regions": []}
 
@@ -372,6 +376,8 @@ def _trace_to_dict(trace) -> dict:
 
 
 def _cmd_expand(args) -> int:
+    from .steering import load_network, save_network
+
     models = load_models(Path(args.model).read_bytes())
     net = load_network(Path(args.network).read_bytes())
     expanded, trace = expand_network(models, net)
@@ -409,6 +415,8 @@ def _parse_width_grid(spec: str, net) -> list[list[int]]:
 
 
 def _cmd_compress(args) -> int:
+    from .steering import CommandEvaluator, load_network, save_network
+
     models = load_models(Path(args.model).read_bytes())
     net = load_network(Path(args.network).read_bytes())
     if not 0 <= args.lam < math.inf:

@@ -169,7 +169,7 @@ def load_plan(path: str | Path) -> list[StructureConfig]:
                 continue
             try:
                 plan.append(config_from_dict(json.loads(line)))
-            except (json.JSONDecodeError, ValueError) as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ProfileFormatError(f"{path}:{lineno}: {exc}") from exc
     return plan
 
@@ -330,7 +330,7 @@ def read_profile(path: str | Path) -> list[ProfileSample]:
             where = f"{path}:{lineno}"
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise ProfileFormatError(f"{where}: not valid JSON: {exc}") from exc
             if not isinstance(record, dict):
                 raise ProfileFormatError(f"{where}: record must be an object")

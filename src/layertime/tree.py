@@ -818,7 +818,7 @@ def _parse_json(data: bytes | str, error: type[ValueError]):
         data = data.decode("utf-8", errors="replace")
     try:
         return json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
         raise error(f"not valid JSON: {exc}") from exc
 
 

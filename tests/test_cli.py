@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour, exit codes, and reproducibility."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 from conftest import two_leaf_channel_model, leaf
+from layertime import cli
 from layertime.cli import _parse_width_grid, main
 from layertime.harness import (
     ProfileFormatError,
@@ -16,6 +18,7 @@ from layertime.harness import (
     load_oracle,
     load_plan,
     save_oracle,
+    save_plan,
     synth_profile,
     write_profile,
 )
@@ -621,3 +624,162 @@ def test_outputs_reproducible_under_fixed_seed(tmp_path):
     assert plan_a.read_bytes() == plan_b.read_bytes()
     assert profile_a.read_bytes() == profile_b.read_bytes()
     assert model_a.read_bytes() == model_b.read_bytes()
+
+
+@pytest.mark.parametrize("stage", ["predict", "expand"])
+def test_non_finite_result_prints_one_error_line(tmp_path, stage):
+    # numpy's overflow warning must not precede the error line
+    model_path = write_overflowing_model(tmp_path)
+    out_path = tmp_path / "expanded.json"
+    if stage == "predict":
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config_to_dict(cnn(24, 24, 3, 3, 44, 64))))
+        argv = ["predict", "--model", str(model_path), "--config", str(config_path)]
+    else:
+        net_path = write_network(tmp_path, [cnn(24, 24, 3, 3, 44, 64)])
+        argv = ["expand", "--model", str(model_path), "--network", str(net_path),
+                "--out", str(out_path)]
+    result = subprocess.run(
+        [sys.executable, "-m", "layertime.cli", *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: numeric: ")
+    assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
+    assert not out_path.exists()
+
+
+# --- subcommand inputs shared by the import-footprint and call-site tests ------
+
+_STAGE_ARGV = {
+    "plan": ["plan", "--networks", "3", "--out", "plan-out.jsonl"],
+    "synth": ["synth", "--plan", "plan.jsonl", "--out", "synth-out.jsonl"],
+    "fit": ["fit", "--dataset", "profile.jsonl", "--out", "fit-out.json"],
+    "predict": ["predict", "--model", "model.json", "--config", "layer.json"],
+    "analyze": ["analyze", "--model", "model.json", "--dataset", "profile.jsonl",
+                "--config", "layer.json", "--out", "report.json"],
+    "expand": ["expand", "--model", "model.json", "--network", "net.json",
+               "--out", "expanded.json"],
+    "compress": ["compress", "--model", "model.json", "--network", "net.json",
+                 "--out", "compressed.json"],
+    "compress --brute-force": ["compress", "--model", "model.json", "--network", "net.json",
+                               "--brute-force", "--out", "compressed.json"],
+}
+
+
+@pytest.fixture(scope="module")
+def stage_dir(tmp_path_factory):
+    """A directory holding every input file the subcommands of ``_STAGE_ARGV`` read."""
+    root = tmp_path_factory.mktemp("stages")
+    plan = generate_plan(n_networks=12, seed=3)
+    save_plan(plan, root / "plan.jsonl")
+    write_profile(synth_profile(default_oracle(), plan), root / "profile.jsonl")
+    write_reference_model(root)
+    (root / "layer.json").write_text(json.dumps(config_to_dict(cnn(24, 24, 3, 3, 43, 64))))
+    write_network(root, [cnn(24, 24, 3, 3, 43, 64)])
+    return root
+
+
+_DEEP_JSON_ARGV = {
+    "--model": ["predict", "--model", "{deep}", "--config", "layer.json"],
+    "--config": ["predict", "--model", "model.json", "--config", "{deep}"],
+    "--network": ["expand", "--model", "model.json", "--network", "{deep}", "--out", "{out}"],
+    "--dataset": ["fit", "--dataset", "{deep}", "--out", "{out}"],
+    "--oracle": ["synth", "--plan", "plan.jsonl", "--oracle", "{deep}", "--out", "{out}"],
+    "--plan": ["synth", "--plan", "{deep}", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("flag", list(_DEEP_JSON_ARGV))
+def test_deeply_nested_json_is_a_data_error(stage_dir, tmp_path, monkeypatch, capsys, flag):
+    deep_json = tmp_path / "deep.json"
+    deep_json.write_text("[" * 200_000)
+    out_path = tmp_path / "out"
+    monkeypatch.chdir(stage_dir)
+    argv = [a.format(deep=deep_json, out=out_path) for a in _DEEP_JSON_ARGV[flag]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: data: ") and captured.err.count("\n") == 1
+    if flag in ("--dataset", "--plan"):
+        assert captured.err.startswith(f"error: data: {deep_json}:1: ")
+    assert not out_path.exists()
+
+
+_FOOTPRINT_PROBE = """
+import runpy, sys
+sys.argv = ["layertime", *sys.argv[1:]]
+try:
+    runpy.run_module("layertime.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print("footprint", code, *(m for m in ("harness", "steering", "analysis")
+                           if "layertime." + m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize(
+    "stage, loaded",
+    [
+        ("--help", []),
+        ("predict", []),
+        ("plan", ["harness"]),
+        ("synth", ["harness"]),
+        ("fit", ["harness"]),
+        ("analyze", ["harness", "analysis"]),
+        ("expand", ["steering"]),
+        ("compress", ["steering"]),
+        ("compress --brute-force", ["steering"]),
+    ],
+)
+def test_subcommand_loads_only_the_modules_it_runs(stage_dir, stage, loaded):
+    argv = _STAGE_ARGV.get(stage, [stage])
+    result = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_PROBE, *argv], cwd=stage_dir,
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert result.stdout.splitlines()[-1].split() == ["footprint", "0", *loaded]
+
+
+def test_package_import_loads_only_the_core():
+    probe = (
+        "import sys, layertime; "
+        "print(*(m for m in ('harness', 'steering', 'analysis', 'cli') "
+        "if 'layertime.' + m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert result.stdout.strip() == ""
+
+
+@pytest.mark.parametrize(
+    "name, module, stage",
+    [
+        ("fit_tree", "tree", "fit"),
+        ("generate_plan", "harness", "plan"),
+        ("synth_profile", "harness", "synth"),
+        ("coefficient_pvalues", "analysis", "analyze"),
+        ("expand_network", "steering", "expand"),
+        ("network_time", "steering", "expand"),
+        ("greedy_compress", "steering", "compress"),
+        ("brute_force_compress", "steering", "compress --brute-force"),
+    ],
+)
+def test_subcommands_call_through_their_cli_module_name(stage_dir, monkeypatch, capsys,
+                                                        name, module, stage):
+    # bench/tracer.py counts these calls by replacing layertime.cli.<name>
+    real = getattr(importlib.import_module(f"layertime.{module}"), name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    monkeypatch.chdir(stage_dir)
+    assert main(_STAGE_ARGV[stage]) == 0
+    assert calls
