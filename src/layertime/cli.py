@@ -8,9 +8,9 @@ error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
+from dataclasses import asdict
 from importlib import import_module
 from pathlib import Path
 
@@ -18,7 +18,17 @@ import numpy as np
 
 from .layers import LayerKind, config_from_dict, config_to_dict, feature_names, width_fields
 from .nnls import NumericError
-from .tree import ConditionKind, Dataset, FitParams, fit_tree, load_models, save_models
+from .tree import (
+    FORMAT_VERSION,
+    ConditionKind,
+    Dataset,
+    FitParams,
+    _dump,
+    _parse_json,
+    fit_tree,
+    load_models,
+    save_models,
+)
 
 __all__ = ["main"]
 
@@ -240,11 +250,7 @@ def _cmd_fit(args) -> int:
 
 
 def _load_config_file(path: str):
-    try:
-        record = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-    return config_from_dict(record)
+    return config_from_dict(_parse_json(Path(path).read_text(encoding="utf-8"), ValueError, path))
 
 
 def _cmd_predict(args) -> int:
@@ -263,7 +269,7 @@ def _cmd_analyze(args) -> int:
     from .harness import ingest_profile
 
     models = load_models(Path(args.model).read_bytes())
-    report: dict = {"format_version": "1.0", "significance": {}, "regions": []}
+    report: dict = {"format_version": FORMAT_VERSION, "significance": {}, "regions": []}
 
     if args.dataset:
         data = ingest_profile(args.dataset)
@@ -315,12 +321,7 @@ def _cmd_analyze(args) -> int:
                     "feature": feature,
                     "tau": int(cond.tau),
                     "delta": delta,
-                    "polynomial": {
-                        "a": benefit.a,
-                        "b": benefit.b,
-                        "c": benefit.c,
-                        "d": benefit.d,
-                    },
+                    "polynomial": asdict(benefit),
                     "bound": region.bound,
                     "verified": region.verified,
                 }
@@ -331,48 +332,18 @@ def _cmd_analyze(args) -> int:
                 f"bound {bound} verified={region.verified}"
             )
 
-    Path(args.out).write_text(
-        json.dumps(report, sort_keys=True, indent=1), encoding="utf-8"
-    )
+    Path(args.out).write_bytes(_dump(report))
     print(f"analyze: report -> {args.out}")
     return 0
 
 
 def _trace_to_dict(trace) -> dict:
-    return {
-        "rule": trace.rule,
-        "reverted": trace.reverted,
-        "entries": [
-            {
-                "original": config_to_dict(e.original),
-                "expanded": config_to_dict(e.expanded),
-                "time_before": e.time_before,
-                "time_after": e.time_after,
-                "reverted": e.reverted,
-                "accepted": [
-                    {
-                        "feature": a.feature,
-                        "tau": a.tau,
-                        "expanded_time": a.expanded_time,
-                        "current_time": a.current_time,
-                    }
-                    for a in e.accepted
-                ],
-            }
-            for e in trace.entries
-        ],
-        "conflicts": [
-            {
-                "junction": c.junction,
-                "upstream_width": c.upstream_width,
-                "downstream_width": c.downstream_width,
-                "time_with_upstream": c.time_with_upstream,
-                "time_with_downstream": c.time_with_downstream,
-                "kept": c.kept,
-            }
-            for c in trace.conflicts
-        ],
-    }
+    doc = asdict(trace)
+    # the layer configs hold enums, so they take their canonical flat encoding
+    for entry, layer in zip(doc["entries"], trace.entries):
+        entry["original"] = config_to_dict(layer.original)
+        entry["expanded"] = config_to_dict(layer.expanded)
+    return doc
 
 
 def _cmd_expand(args) -> int:
@@ -391,10 +362,7 @@ def _cmd_expand(args) -> int:
     print(f"total: {before:.3f} ms -> {after:.3f} ms")
     Path(args.out).write_bytes(save_network(expanded))
     if args.trace:
-        Path(args.trace).write_text(
-            json.dumps(_trace_to_dict(trace), sort_keys=True, indent=1),
-            encoding="utf-8",
-        )
+        Path(args.trace).write_bytes(_dump(_trace_to_dict(trace)))
     print(f"expand: network -> {args.out}")
     return 0
 

@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .tree import (
     ModelFormatError,
     Node,
     TimeModel,
+    _dump,
     _models_from_dict,
     _parse_json,
     model_to_dict,
@@ -161,16 +162,22 @@ def save_plan(plan: Sequence[StructureConfig], path: str | Path) -> None:
             fh.write(json.dumps(config_to_dict(config), sort_keys=True) + "\n")
 
 
-def load_plan(path: str | Path) -> list[StructureConfig]:
-    plan = []
+def _records(path: str | Path) -> Iterator[tuple[str, object]]:
+    """``(f"{path}:{lineno}", record)`` for every non-blank line of a JSON-lines file."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                plan.append(config_from_dict(json.loads(line)))
-            except (ValueError, RecursionError) as exc:
-                raise ProfileFormatError(f"{path}:{lineno}: {exc}") from exc
+            if line.strip():
+                where = f"{path}:{lineno}"
+                yield where, _parse_json(line, ProfileFormatError, where)
+
+
+def load_plan(path: str | Path) -> list[StructureConfig]:
+    plan = []
+    for where, record in _records(path):
+        try:
+            plan.append(config_from_dict(record))
+        except ValueError as exc:
+            raise ProfileFormatError(f"{where}: {exc}") from exc
     return plan
 
 
@@ -268,7 +275,7 @@ def default_oracle(noise: float = 0.01, seed: int = 1300) -> SyntheticOracle:
 
 
 def save_oracle(oracle: SyntheticOracle) -> bytes:
-    doc = {
+    return _dump({
         "format_version": FORMAT_VERSION,
         "noise": oracle.noise,
         "seed": oracle.seed,
@@ -276,18 +283,18 @@ def save_oracle(oracle: SyntheticOracle) -> bytes:
             model_to_dict(oracle.models[kind])
             for kind in sorted(oracle.models, key=lambda k: k.value)
         ],
-    }
-    return json.dumps(doc, sort_keys=True, indent=1).encode("utf-8")
+    })
 
 
 def load_oracle(data: bytes | str) -> SyntheticOracle:
     doc = _parse_json(data, ModelFormatError)
     models = _models_from_dict(doc)
     try:
-        return SyntheticOracle(
-            models=models, noise=float(doc["noise"]), seed=int(doc["seed"])
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        seed = doc["seed"]
+        if type(seed) is not int:  # booleans are not integers
+            raise ValueError(f"seed must be an integer, got {seed!r}")
+        return SyntheticOracle(models=models, noise=float(doc["noise"]), seed=seed)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed oracle document: {exc}") from exc
 
 
@@ -323,50 +330,44 @@ def read_profile(path: str | Path) -> list[ProfileSample]:
     """Parse a profile file; malformed records report their line number."""
     samples: list[ProfileSample] = []
     schema_seen: int | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                record = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise ProfileFormatError(f"{where}: not valid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise ProfileFormatError(f"{where}: record must be an object")
-            extra = set(record) - _RECORD_KEYS
-            if extra:
-                raise ProfileFormatError(
-                    f"{where}: unknown record fields: {', '.join(sorted(extra))}"
-                )
-            schema = record.get("schema", _SCHEMA)
-            if schema_seen is None:
-                schema_seen = schema
-            elif schema != schema_seen:
-                raise ProfileFormatError(
-                    f"{where}: mixed schema versions ({schema} after {schema_seen})"
-                )
-            try:
-                layer_type = record["layer_type"]
-                config_fields = record["config"]
-                time_ms = record["time_ms"]
-            except KeyError as exc:
-                raise ProfileFormatError(f"{where}: missing field {exc}") from exc
-            if not isinstance(config_fields, dict) or "kind" in config_fields:
-                raise ProfileFormatError(
-                    f"{where}: config must be an object without its own 'kind'"
-                )
-            try:
-                config = config_from_dict({"kind": layer_type, **config_fields})
-                sample = ProfileSample(
-                    config=config,
-                    time_ms=float(time_ms),
-                    reps=int(record.get("reps", 1)),
-                    source=record.get("source", "measured"),
-                )
-            except (TypeError, ValueError) as exc:
-                raise ProfileFormatError(f"{where}: {exc}") from exc
-            samples.append(sample)
+    for where, record in _records(path):
+        if not isinstance(record, dict):
+            raise ProfileFormatError(f"{where}: record must be an object")
+        extra = set(record) - _RECORD_KEYS
+        if extra:
+            raise ProfileFormatError(f"{where}: unknown record fields: {', '.join(sorted(extra))}")
+        schema = record.get("schema", _SCHEMA)
+        if schema_seen is None:
+            schema_seen = schema
+        elif schema != schema_seen:
+            raise ProfileFormatError(
+                f"{where}: mixed schema versions ({schema} after {schema_seen})"
+            )
+        if type(schema) is not int or schema != _SCHEMA:
+            raise ProfileFormatError(f"{where}: schema must be {_SCHEMA}, got {schema!r}")
+        try:
+            layer_type = record["layer_type"]
+            config_fields = record["config"]
+            time_ms = record["time_ms"]
+        except KeyError as exc:
+            raise ProfileFormatError(f"{where}: missing field {exc}") from exc
+        if not isinstance(config_fields, dict) or "kind" in config_fields:
+            raise ProfileFormatError(f"{where}: config must be an object without its own 'kind'")
+        # exact types: JSON strings and booleans are not numbers here
+        if type(time_ms) not in (int, float):
+            raise ProfileFormatError(f"{where}: time_ms must be a number, got {time_ms!r}")
+        reps = record.get("reps", 1)
+        if type(reps) is not int or reps < 1:
+            raise ProfileFormatError(f"{where}: reps must be an integer >= 1, got {reps!r}")
+        try:
+            samples.append(ProfileSample(
+                config=config_from_dict({"kind": layer_type, **config_fields}),
+                time_ms=float(time_ms),
+                reps=reps,
+                source=record.get("source", "measured"),
+            ))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ProfileFormatError(f"{where}: {exc}") from exc
     return samples
 
 

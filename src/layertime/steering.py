@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import tempfile
 from dataclasses import dataclass, replace as dc_replace
@@ -41,7 +40,7 @@ from .layers import (
 )
 # unused here: bound so that tracers which wrap this name per module find it
 from .layers import derive_explanatory  # noqa: F401
-from .tree import FORMAT_VERSION, ConditionKind, TimeModel, _parse_json
+from .tree import FORMAT_VERSION, ConditionKind, TimeModel, _check_version, _dump, _parse_json
 
 __all__ = [
     "NetworkSpec",
@@ -702,6 +701,7 @@ def network_to_dict(net: NetworkSpec) -> dict:
 def network_from_dict(doc: dict) -> NetworkSpec:
     if not isinstance(doc, dict) or "layers" not in doc:
         raise NetworkFormatError("network document must be an object with 'layers'")
+    _check_version(doc, NetworkFormatError)
     try:
         layers = tuple(config_from_dict(record) for record in doc["layers"])
     except (TypeError, ValueError) as exc:
@@ -724,7 +724,7 @@ def network_from_dict(doc: dict) -> NetworkSpec:
 
 
 def save_network(net: NetworkSpec) -> bytes:
-    return json.dumps(network_to_dict(net), sort_keys=True, indent=1).encode("utf-8")
+    return _dump(network_to_dict(net))
 
 
 def load_network(data: bytes | str) -> NetworkSpec:

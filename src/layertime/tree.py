@@ -23,7 +23,7 @@ import itertools
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -110,7 +110,7 @@ class Condition:
         return column % self.tau == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Profiling records of one layer kind: features, explanatory vectors, times."""
 
@@ -183,7 +183,7 @@ class Dataset:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearFit:
     """Non-negative linear model ``y = w . x + b`` with its training errors."""
 
@@ -238,7 +238,7 @@ class FitParams:
         object.__setattr__(self, "multiple_taus", taus)
 
 
-@dataclass
+@dataclass(eq=False)
 class Node:
     """One tree node: a fit, and for internal nodes a condition plus children."""
 
@@ -252,7 +252,7 @@ class Node:
         return self.condition is None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeModel:
     """Immutable fitted execution-time model for one layer kind."""
 
@@ -403,7 +403,7 @@ def impurity(dataset: Dataset, condition: Condition) -> float:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Split:
     condition: Condition
     mask: np.ndarray
@@ -679,50 +679,35 @@ def model_to_dict(model: TimeModel) -> dict:
                 "right": ids[id(node.right)] if node.right is not None else None,
             }
         )
-    params = model.fit_params
     return {
         "format_version": FORMAT_VERSION,
         "layer_kind": model.kind.value,
-        "fit_params": {
-            "mape_stop": params.mape_stop,
-            "min_leaf": params.min_leaf,
-            "max_depth": params.max_depth,
-            "multiple_taus": list(params.multiple_taus),
-            "range_quantiles": params.range_quantiles,
-        },
+        "fit_params": asdict(model.fit_params),
         "nodes": nodes,
     }
 
 
-def _check_version(doc: dict) -> None:
+def _check_version(doc: dict, error: type[ValueError]) -> None:
+    """Raise ``error`` unless ``doc`` carries a ``format_version`` of this major."""
     version = doc.get("format_version")
+    major = FORMAT_VERSION.split(".", 1)[0]
     if not isinstance(version, str) or "." not in version:
-        raise ModelFormatError(f"missing or malformed format_version: {version!r}")
-    major = version.split(".", 1)[0]
-    if major != FORMAT_VERSION.split(".", 1)[0]:
-        raise ModelFormatError(
-            f"unsupported format_version {version!r} (expected major {FORMAT_VERSION.split('.', 1)[0]})"
-        )
+        raise error(f"missing or malformed format_version: {version!r}")
+    if version.split(".", 1)[0] != major:
+        raise error(f"unsupported format_version {version!r} (expected major {major})")
 
 
 def _fit_params_from_dict(doc: dict) -> FitParams:
     if not isinstance(doc, dict):
         raise ModelFormatError("'fit_params' must be an object")
     # unknown keys, such as the noise_seed of older files, are ignored
-    defaults = FitParams()
-    return FitParams(
-        mape_stop=doc.get("mape_stop", defaults.mape_stop),
-        min_leaf=doc.get("min_leaf", defaults.min_leaf),
-        max_depth=doc.get("max_depth", defaults.max_depth),
-        multiple_taus=tuple(doc.get("multiple_taus", defaults.multiple_taus)),
-        range_quantiles=doc.get("range_quantiles", defaults.range_quantiles),
-    )
+    return FitParams(**{f.name: doc[f.name] for f in fields(FitParams) if f.name in doc})
 
 
 def model_from_dict(doc: dict) -> TimeModel:
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be an object")
-    _check_version(doc)
+    _check_version(doc, ModelFormatError)
     try:
         kind = LayerKind(doc["layer_kind"])
         ids = [int(nd["id"]) for nd in doc["nodes"]]
@@ -807,19 +792,28 @@ def model_from_dict(doc: dict) -> TimeModel:
         raise ModelFormatError(str(exc)) from exc
 
 
-def save_model(model: TimeModel) -> bytes:
-    """Serialize a model; ``load_model`` restores it with identical predictions."""
-    return json.dumps(model_to_dict(model), sort_keys=True, indent=1).encode("utf-8")
+def _dump(doc) -> bytes:
+    """The one encoding of every document: sorted keys, one-space indent, UTF-8."""
+    return json.dumps(doc, sort_keys=True, indent=1).encode("utf-8")
 
 
-def _parse_json(data: bytes | str, error: type[ValueError]):
-    """Decode a JSON document, raising ``error`` when it is not valid JSON."""
+def _parse_json(data: bytes | str, error: type[ValueError], where: str = ""):
+    """Decode one JSON document or record, raising ``error`` when it is not valid JSON.
+
+    ``where`` (a path, or ``path:line`` for a record) prefixes the message.
+    """
     if isinstance(data, bytes):
         data = data.decode("utf-8", errors="replace")
     try:
         return json.loads(data)
     except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
-        raise error(f"not valid JSON: {exc}") from exc
+        prefix = f"{where}: " if where else ""
+        raise error(f"{prefix}not valid JSON: {exc}") from exc
+
+
+def save_model(model: TimeModel) -> bytes:
+    """Serialize a model; ``load_model`` restores it with identical predictions."""
+    return _dump(model_to_dict(model))
 
 
 def load_model(data: bytes | str) -> TimeModel:
@@ -828,18 +822,17 @@ def load_model(data: bytes | str) -> TimeModel:
 
 def save_models(models: dict[LayerKind, TimeModel]) -> bytes:
     """Serialize a kind-keyed family of models into one document."""
-    doc = {
+    return _dump({
         "format_version": FORMAT_VERSION,
         "models": [model_to_dict(models[kind]) for kind in sorted(models, key=lambda k: k.value)],
-    }
-    return json.dumps(doc, sort_keys=True, indent=1).encode("utf-8")
+    })
 
 
 def _models_from_dict(doc) -> dict[LayerKind, TimeModel]:
     """The kind-keyed models of a versioned document with a ``models`` list."""
     if not isinstance(doc, dict):
         raise ModelFormatError("model file must be a JSON object")
-    _check_version(doc)
+    _check_version(doc, ModelFormatError)
     entries = doc.get("models")
     if not isinstance(entries, list):
         raise ModelFormatError("'models' must be a list of model documents")

@@ -31,7 +31,7 @@ from layertime.steering import (
     load_network,
     save_network,
 )
-from layertime.tree import ModelFormatError, TimeModel, load_models, save_models
+from layertime.tree import FORMAT_VERSION, ModelFormatError, TimeModel, load_models, save_models
 
 
 def write_reference_model(tmp_path):
@@ -705,6 +705,76 @@ def test_deeply_nested_json_is_a_data_error(stage_dir, tmp_path, monkeypatch, ca
     if flag in ("--dataset", "--plan"):
         assert captured.err.startswith(f"error: data: {deep_json}:1: ")
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("loader", ["oracle seed", "profile reps", "profile time_ms"])
+def test_overflowing_number_is_a_data_error(tmp_path, capsys, loader):
+    plan_path = tmp_path / "plan.jsonl"
+    save_plan([fc(3, 5)], plan_path)
+    bad = tmp_path / "bad.json"
+    out = tmp_path / "out"
+    record = '{"layer_type": "FC", "config": {"in_dim": 3, "out_dim": 5}, %s}\n'
+    if loader == "oracle seed":
+        oracle = save_oracle(default_oracle()).decode("utf-8")
+        bad.write_text(oracle.replace('"seed": 1300', '"seed": 1e400'))
+        argv = ["synth", "--plan", str(plan_path), "--oracle", str(bad), "--out", str(out)]
+        prefix = "error: data: malformed oracle document: seed"
+    elif loader == "profile reps":
+        bad.write_text(record % '"time_ms": 1.0, "reps": 1e400')
+        argv = ["fit", "--dataset", str(bad), "--out", str(out)]
+        prefix = f"error: data: {bad}:1: reps"
+    else:
+        bad.write_text(record % f'"time_ms": 1{"0" * 400}')
+        argv = ["fit", "--dataset", str(bad), "--out", str(out)]
+        prefix = f"error: data: {bad}:1: "
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "version", ["9.0", None, 1, "1"], ids=["major 9", "missing", "number", "no minor"]
+)
+def test_network_document_is_version_checked(tmp_path, capsys, version):
+    doc = json.loads(save_network(NetworkSpec((cnn(24, 24, 3, 3, 43, 64),))))
+    doc["format_version"] = "1.7"
+    assert load_network(json.dumps(doc)) == NetworkSpec((cnn(24, 24, 3, 3, 43, 64),))
+    if version is None:
+        del doc["format_version"]
+    else:
+        doc["format_version"] = version
+    with pytest.raises(NetworkFormatError, match="format_version"):
+        load_network(json.dumps(doc))
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps(doc))
+    out = tmp_path / "expanded.json"
+    argv = ["expand", "--model", str(write_reference_model(tmp_path)),
+            "--network", str(net_path), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: data: ")
+    assert not out.exists()
+
+
+def test_every_document_has_the_canonical_encoding(stage_dir, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(stage_dir)
+    expanded, trace, report = (tmp_path / n for n in ("expanded.json", "trace.json", "report.json"))
+    assert main(["expand", "--model", "model.json", "--network", "net.json",
+                 "--out", str(expanded), "--trace", str(trace)]) == 0
+    assert main(["analyze", "--model", "model.json", "--config", "layer.json",
+                 "--out", str(report)]) == 0
+    for path in (stage_dir / "model.json", expanded, trace, report):
+        data = path.read_bytes()
+        assert data == json.dumps(json.loads(data), sort_keys=True, indent=1).encode("utf-8")
+    doc = json.loads(report.read_bytes())
+    assert doc["format_version"] == FORMAT_VERSION
+    assert sorted(doc["regions"][0]["polynomial"]) == ["a", "b", "c", "d"]
+    entry = json.loads(trace.read_bytes())["entries"][0]
+    assert config_from_dict(entry["original"]) == cnn(24, 24, 3, 3, 43, 64)
+    assert sorted(entry) == [
+        "accepted", "expanded", "original", "reverted", "time_after", "time_before"
+    ]
 
 
 _FOOTPRINT_PROBE = """

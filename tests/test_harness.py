@@ -1,6 +1,7 @@
 """Plan generation, synthetic oracle sampling, and profile file round trips."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -239,6 +240,26 @@ def test_mixed_schema_versions_rejected(tmp_path):
         read_profile(path)
 
 
+_FC_RECORD = {"layer_type": "FC", "config": {"in_dim": 3, "out_dim": 5}, "time_ms": 1.0}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("schema", 7), ("schema", [1]), ("schema", {}), ("schema", True),
+     ("reps", 2.7), ("reps", "3"), ("reps", True), ("reps", 0.5), ("reps", 0),
+     ("time_ms", True), ("time_ms", "1.5"), ("time_ms", None)],
+)
+def test_profile_record_fields_keep_their_types(tmp_path, field, value):
+    path = tmp_path / "profile.jsonl"
+    path.write_text(json.dumps({**_FC_RECORD, field: value}) + "\n")
+    message = f"^{re.escape(str(path))}:1: {field} must be .*, got {re.escape(repr(value))}$"
+    with pytest.raises(ProfileFormatError, match=message):
+        read_profile(path)
+    path.write_text(json.dumps({**_FC_RECORD, "schema": 1, "reps": 3, "time_ms": 2}) + "\n")
+    [sample] = read_profile(path)
+    assert (sample.reps, sample.time_ms) == (3, 2.0)
+
+
 def test_duplicates_are_kept(tmp_path):
     config = fc(3, 5)
     samples = [
@@ -274,6 +295,16 @@ def test_oracle_document_checked_like_a_model_file(defect):
         doc["models"].append(doc["models"][0])
     with pytest.raises(ModelFormatError):
         load_oracle(json.dumps(doc))
+
+
+@pytest.mark.parametrize("seed", [1.5, True, "7", None, [7]])
+def test_oracle_seed_must_be_an_integer(seed):
+    doc = json.loads(save_oracle(default_oracle()))
+    doc["seed"] = seed
+    with pytest.raises(ModelFormatError, match="seed must be an integer"):
+        load_oracle(json.dumps(doc))
+    doc["seed"] = -7
+    assert load_oracle(json.dumps(doc)).seed == -7
 
 
 @pytest.mark.parametrize("noise", [float("nan"), float("inf")])

@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from layertime import layers
@@ -322,7 +322,9 @@ def _outcome(build):
         return exc
 
 
-@settings(max_examples=400)
+# the first text draw builds hypothesis's unicode table, which a fresh checkout
+# has not cached yet, so the generation speed check would fail there
+@settings(max_examples=400, suppress_health_check=[HealthCheck.too_slow])
 @given(case=field_dicts())
 @example(case=(LayerKind.CNN, dict(in_height=24, in_width=24, kernel_height=3, kernel_width=3,
                                    in_channel=8, out_channel=16, padding=5, stride=1)))

@@ -550,6 +550,20 @@ def test_serialization_is_stable():
     assert save_model(load_model(payload)) == payload
 
 
+def test_array_holding_types_compare_and_hash_by_identity():
+    model = planted_depth2_model()
+    restored = load_model(save_model(model))
+    assert model == model
+    assert (model == restored) is False
+    assert (model.root == restored.root) is False
+    assert (model.root.fit == restored.root.fit) is False
+    assert hash(model) == hash(model)
+    assert len({model, restored, model.root, model.root.fit}) == 4
+    dataset = planted_cnn_dataset(model, 20, seed=1)
+    assert dataset == dataset and (dataset == dataset.subset(np.ones(20, bool))) is False
+    assert restored.fit_params == model.fit_params
+
+
 def test_truncated_payload_is_a_parse_error():
     payload = save_model(planted_depth2_model())
     with pytest.raises(ModelFormatError):
