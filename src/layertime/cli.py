@@ -175,6 +175,8 @@ def _cmd_plan(args) -> int:
 
     if args.networks < 1:
         raise _UsageError("--networks must be >= 1")
+    if args.seed < 0:
+        raise _UsageError("--seed must be >= 0")
     plan = generate_plan(scope=args.scope, n_networks=args.networks, seed=args.seed)
     save_plan(plan, args.out)
     print(f"plan: {len(plan)} components across {args.networks} networks -> {args.out}")
@@ -211,6 +213,8 @@ def _split_dataset(dataset: Dataset, rng: np.random.Generator) -> tuple[Dataset,
 def _cmd_fit(args) -> int:
     from .harness import ingest_profile
 
+    if args.seed < 0:
+        raise _UsageError("--seed must be >= 0")
     try:
         params = FitParams(
             mape_stop=args.mape_stop, min_leaf=args.min_leaf, max_depth=args.max_depth
@@ -250,7 +254,7 @@ def _cmd_fit(args) -> int:
 
 
 def _load_config_file(path: str):
-    return config_from_dict(_parse_json(Path(path).read_text(encoding="utf-8"), ValueError, path))
+    return config_from_dict(_parse_json(Path(path).read_bytes(), ValueError, path))
 
 
 def _cmd_predict(args) -> int:
@@ -352,13 +356,14 @@ def _cmd_expand(args) -> int:
     models = load_models(Path(args.model).read_bytes())
     net = load_network(Path(args.network).read_bytes())
     expanded, trace = expand_network(models, net)
+    # totals first: a non-finite one is an error before anything is printed
+    before = network_time(models, net)
+    after = network_time(models, expanded)
     for i, entry in enumerate(trace.entries):
         print(
             f"layer {i} ({entry.original.kind.value}): "
             f"{entry.time_before:.3f} ms -> {entry.time_after:.3f} ms"
         )
-    before = network_time(models, net)
-    after = network_time(models, expanded)
     print(f"total: {before:.3f} ms -> {after:.3f} ms")
     Path(args.out).write_bytes(save_network(expanded))
     if args.trace:
@@ -411,13 +416,13 @@ def _cmd_compress(args) -> int:
         )
     before = network_time(models, net)
     after = network_time(models, compressed)
+    # the search may never have scored the input network
+    objective_before = evaluator(net) + args.lam * before
+    objective_after = evaluator(compressed) + args.lam * after
+    if not (math.isfinite(objective_before) and math.isfinite(objective_after)):
+        raise NumericError(f"objective is non-finite ({objective_before} -> {objective_after})")
     print(f"time: {before:.3f} ms -> {after:.3f} ms")
-    loss_before = evaluator(net)
-    loss_after = evaluator(compressed)
-    print(
-        f"objective: {loss_before + args.lam * before:.3f} -> "
-        f"{loss_after + args.lam * after:.3f}"
-    )
+    print(f"objective: {objective_before:.3f} -> {objective_after:.3f}")
     Path(args.out).write_bytes(save_network(compressed))
     print(f"compress: network -> {args.out}")
     return 0

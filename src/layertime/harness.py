@@ -19,6 +19,8 @@ import numpy as np
 from .layers import (
     LayerKind,
     StructureConfig,
+    _integer,
+    _number,
     cnn,
     config_from_dict,
     config_to_dict,
@@ -75,10 +77,10 @@ class ProfileSample:
     source: str = "measured"
 
     def __post_init__(self) -> None:
-        if not 0 < self.time_ms < math.inf:
-            raise ValueError(f"time_ms must be finite and > 0, got {self.time_ms}")
-        if self.reps < 1:
-            raise ValueError(f"reps must be >= 1, got {self.reps}")
+        if not (type(self.time_ms) is float and 0 < self.time_ms < math.inf):
+            object.__setattr__(self, "time_ms", _number("time_ms", self.time_ms, 0, strict=True))
+        if type(self.reps) is not int or self.reps < 1:
+            object.__setattr__(self, "reps", _integer("reps", self.reps, 1))
         if self.source not in ("measured", "synthetic"):
             raise ValueError(f"source must be 'measured' or 'synthetic', got {self.source!r}")
 
@@ -145,8 +147,7 @@ def generate_plan(
     """
     if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}; known: {', '.join(sorted(SCOPES))}")
-    if n_networks < 1:
-        raise ValueError(f"n_networks must be >= 1, got {n_networks}")
+    n_networks = _integer("n_networks", n_networks, 1)
     rng = np.random.default_rng(seed)
     ranges = SCOPES[scope]
     plan: list[StructureConfig] = []
@@ -164,7 +165,8 @@ def save_plan(plan: Sequence[StructureConfig], path: str | Path) -> None:
 
 def _records(path: str | Path) -> Iterator[tuple[str, object]]:
     """``(f"{path}:{lineno}", record)`` for every non-blank line of a JSON-lines file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    # bytes, so that a line that is not UTF-8 is reported with its location
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.strip():
                 where = f"{path}:{lineno}"
@@ -197,8 +199,8 @@ class SyntheticOracle:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.noise < math.inf:
-            raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
+        object.__setattr__(self, "noise", _number("noise", self.noise, 0))
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
 
 
 def _config_rng(seed: int, config: StructureConfig) -> np.random.Generator:
@@ -290,11 +292,8 @@ def load_oracle(data: bytes | str) -> SyntheticOracle:
     doc = _parse_json(data, ModelFormatError)
     models = _models_from_dict(doc)
     try:
-        seed = doc["seed"]
-        if type(seed) is not int:  # booleans are not integers
-            raise ValueError(f"seed must be an integer, got {seed!r}")
-        return SyntheticOracle(models=models, noise=float(doc["noise"]), seed=seed)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        return SyntheticOracle(models=models, noise=doc["noise"], seed=doc["seed"])
+    except (KeyError, ValueError) as exc:
         raise ModelFormatError(f"malformed oracle document: {exc}") from exc
 
 
@@ -353,20 +352,14 @@ def read_profile(path: str | Path) -> list[ProfileSample]:
             raise ProfileFormatError(f"{where}: missing field {exc}") from exc
         if not isinstance(config_fields, dict) or "kind" in config_fields:
             raise ProfileFormatError(f"{where}: config must be an object without its own 'kind'")
-        # exact types: JSON strings and booleans are not numbers here
-        if type(time_ms) not in (int, float):
-            raise ProfileFormatError(f"{where}: time_ms must be a number, got {time_ms!r}")
-        reps = record.get("reps", 1)
-        if type(reps) is not int or reps < 1:
-            raise ProfileFormatError(f"{where}: reps must be an integer >= 1, got {reps!r}")
         try:
             samples.append(ProfileSample(
                 config=config_from_dict({"kind": layer_type, **config_fields}),
-                time_ms=float(time_ms),
-                reps=reps,
+                time_ms=time_ms,
+                reps=record.get("reps", 1),
                 source=record.get("source", "measured"),
             ))
-        except (TypeError, ValueError, OverflowError) as exc:
+        except ValueError as exc:
             raise ProfileFormatError(f"{where}: {exc}") from exc
     return samples
 

@@ -10,6 +10,7 @@ so they are safe to call from any number of concurrent workers.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,6 +105,36 @@ _CHECK_PLAN = {
 }
 
 
+def _integer(name: str, value, least: int | None = None) -> int:
+    """``value`` as an ``int`` (a Python or numpy integer, never a bool), ``>= least``."""
+    if type(value) is not int:
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
+def _number(name: str, value, least: int | None = None, strict: bool = False) -> float:
+    """``value`` as a ``float`` (a Python or numpy number, never a bool or a string).
+
+    With ``least``, it must also be finite and ``>= least``, or ``> least`` if ``strict``.
+    """
+    if type(value) is not float:
+        if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ValueError(f"{name} is too large for a float") from None
+    if least is not None:
+        sign, above = (">", value > least) if strict else (">=", value >= least)
+        if not (above and math.isfinite(value)):
+            raise ValueError(f"{name} must be finite and {sign} {least}, got {value}")
+    return value
+
+
 @dataclass(frozen=True, slots=True)
 class StructureConfig:
     """Structural hyperparameters of one layer.
@@ -143,14 +174,9 @@ class StructureConfig:
             elif name == "padding":
                 if not isinstance(value, Padding):
                     raise ValueError(f"padding must be 'valid' or 'same', got {value!r}")
-            else:
-                # an exact int is stored as given; other integers become one
-                if type(value) is not int:
-                    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                        raise ValueError(f"{name} must be an integer, got {value!r}")
-                    object.__setattr__(self, name, int(value))
-                if value < 1:
-                    raise ValueError(f"{name} must be >= 1, got {value}")
+            elif type(value) is not int or value < 1:
+                # an exact int >= 1 is stored as given, with no call
+                object.__setattr__(self, name, _integer(name, value, 1))
         if kind is LayerKind.CNN:
             if self.stride not in (1, 2):
                 raise ValueError(f"stride must be 1 or 2, got {self.stride}")

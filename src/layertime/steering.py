@@ -30,6 +30,8 @@ from .layers import (
     RECURRENT_KINDS,
     LayerKind,
     StructureConfig,
+    _integer,
+    _number,
     _row_arrays,
     config_from_dict,
     config_to_dict,
@@ -40,6 +42,7 @@ from .layers import (
 )
 # unused here: bound so that tracers which wrap this name per module find it
 from .layers import derive_explanatory  # noqa: F401
+from .nnls import NumericError
 from .tree import FORMAT_VERSION, ConditionKind, TimeModel, _check_version, _dump, _parse_json
 
 __all__ = [
@@ -344,13 +347,15 @@ def _reconcile(
 
 
 def network_time(model_map: Mapping[LayerKind, TimeModel], net: NetworkSpec) -> float:
-    """Total predicted execution time of a network, in milliseconds."""
-    return sum(_model_for(model_map, c.kind).predict(c) for c in net.layers)
+    """Total predicted execution time of a network, in milliseconds.
 
-
-def _check_lam(lam: float) -> None:
-    if not 0 <= lam < math.inf:
-        raise ValueError(f"lam must be finite and >= 0, got {lam}")
+    Raises :class:`NumericError` when the total is not finite, although
+    every layer's time may be.
+    """
+    total = sum(_model_for(model_map, c.kind).predict(c) for c in net.layers)
+    if not math.isfinite(total):
+        raise NumericError(f"network predicts a non-finite total time ({total})")
+    return total
 
 
 def time_aware_objective(
@@ -360,7 +365,7 @@ def time_aware_objective(
     lam: float,
 ) -> float:
     """Compression objective: evaluator loss plus ``lam`` times predicted time."""
-    _check_lam(lam)
+    lam = _number("lam", lam, 0)
     return float(evaluator(net)) + lam * network_time(model_map, net)
 
 
@@ -509,6 +514,8 @@ class _Objective:
                 raise EvaluationError(f"evaluator returned invalid loss {loss!r}")
             # the same terms in the same order as network_time
             value = loss + self.lam * sum(self.price(c) for c in net.layers)
+            if not math.isfinite(value):
+                raise NumericError(f"compression objective is non-finite ({value})")
             self.cache[net] = value
         return value
 
@@ -518,11 +525,9 @@ def _check_grid(net: NetworkSpec, width_grid: Sequence[Sequence[int]]) -> list[l
         raise ValueError("width_grid must give one candidate list per layer")
     grids: list[list[int]] = []
     for i, grid in enumerate(width_grid):
-        widths = sorted({int(w) for w in grid})
+        widths = sorted({_integer(f"layer {i} grid width", w, 1) for w in grid})
         if not widths:
             raise ValueError(f"empty width grid for layer {i}")
-        if widths[0] < 1:
-            raise ValueError(f"layer {i} grid contains a width < 1")
         grids.append(widths)
     return grids
 
@@ -534,10 +539,10 @@ def _apply_widths(net: NetworkSpec, widths: Sequence[int]) -> NetworkSpec:
         # a valid network already gives a shared next input this width too
         if getattr(layers[i], out_field) == width:
             continue
-        layers[i] = dc_replace(layers[i], **{out_field: int(width)})
+        layers[i] = dc_replace(layers[i], **{out_field: width})
         if i + 1 < len(layers) and _coupled_kinds(layers[i].kind, layers[i + 1].kind):
             in_field = width_fields(layers[i + 1].kind)[0]
-            layers[i + 1] = dc_replace(layers[i + 1], **{in_field: int(width)})
+            layers[i + 1] = dc_replace(layers[i + 1], **{in_field: width})
     return NetworkSpec(tuple(layers))
 
 
@@ -562,9 +567,8 @@ def greedy_compress(
     local minima, and the expansion is kept only if it does not worsen
     the objective, so the result never scores above the input network.
     """
-    _check_lam(lam)
-    if isinstance(budget, bool) or not budget >= 1:
-        raise ValueError(f"budget must be >= 1 evaluator call, got {budget!r}")
+    lam = _number("lam", lam, 0)
+    budget = _integer("budget", budget, 1)
     grids = _check_grid(net, width_grid)
     objective = _Objective(evaluator, model_map, lam, budget)
     current = net
@@ -635,7 +639,7 @@ def brute_force_compress(
     take, and the objective never predicts a configuration that a table
     entry already priced.
     """
-    _check_lam(lam)
+    lam = _number("lam", lam, 0)
     grids = _check_grid(net, width_grid)
     total = 1
     for grid in grids:
@@ -699,8 +703,8 @@ def network_to_dict(net: NetworkSpec) -> dict:
 
 
 def network_from_dict(doc: dict) -> NetworkSpec:
-    if not isinstance(doc, dict) or "layers" not in doc:
-        raise NetworkFormatError("network document must be an object with 'layers'")
+    if not isinstance(doc, dict) or not isinstance(doc.get("layers"), list):
+        raise NetworkFormatError("network document must be an object with a 'layers' list")
     _check_version(doc, NetworkFormatError)
     try:
         layers = tuple(config_from_dict(record) for record in doc["layers"])
@@ -716,7 +720,8 @@ def network_from_dict(doc: dict) -> NetworkSpec:
         raise NetworkFormatError("'links' must be a list")
     derived = network_to_dict(net)["links"]
     for link in links:
-        if link not in derived:
+        # true == 1 and 1.0 == 1 in Python, so the ids must also be exact ints
+        if link not in derived or type(link["src"]) is not int or type(link["dst"]) is not int:
             raise NetworkFormatError(
                 f"link {link!r} does not join adjacent layers by their shared width"
             )

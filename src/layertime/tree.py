@@ -31,6 +31,8 @@ import numpy as np
 from .layers import (
     LayerKind,
     StructureConfig,
+    _integer,
+    _number,
     _row_arrays,
     _row_values,
     explanatory_names,
@@ -89,18 +91,15 @@ class Condition:
     kind: ConditionKind
 
     def __post_init__(self) -> None:
-        if self.feature_index < 0:
-            raise ValueError("feature_index must be >= 0")
-        if not math.isfinite(self.tau):
-            raise ValueError(f"condition needs a finite tau, got {self.tau}")
-        if self.kind is ConditionKind.MULTIPLE:
-            if self.tau != int(self.tau) or self.tau < 2:
-                raise ValueError(f"multiple condition needs integer tau >= 2, got {self.tau}")
-            object.__setattr__(self, "tau", int(self.tau))
-        else:
-            object.__setattr__(self, "tau", float(self.tau))
-            if self.tau <= 0:
-                raise ValueError(f"range condition needs tau > 0, got {self.tau}")
+        index, tau = self.feature_index, self.tau  # valid ints and floats skip the calls
+        if type(index) is not int or index < 0:
+            object.__setattr__(self, "feature_index", _integer("feature_index", index, 0))
+        if not (isinstance(tau, float) and 0 < tau < math.inf):
+            tau = _number("tau", tau, 0, strict=True)
+        multiple = self.kind is ConditionKind.MULTIPLE
+        if multiple and (tau != int(tau) or tau < 2):
+            raise ValueError(f"multiple condition needs integer tau >= 2, got {self.tau}")
+        object.__setattr__(self, "tau", int(tau) if multiple else float(tau))
 
     def holds(self, features: np.ndarray) -> np.ndarray:
         """Evaluate the predicate on a feature row or an (n, F) matrix."""
@@ -194,23 +193,22 @@ class LinearFit:
     mse: float
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.w, dtype=float)
-        object.__setattr__(self, "w", w)
-        if not (np.isfinite(w).all() and math.isfinite(self.b)):
-            raise ValueError("weights and intercept must be finite")
+        w = self.w
+        # fitting passes a float array; every other weight is checked
+        if not (isinstance(w, np.ndarray) and w.dtype == float):
+            w = np.array([_number("weight", v) for v in w], dtype=float)
+            object.__setattr__(self, "w", w)
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
         if w.size and w.min() < 0:
             raise ValueError("weights must be non-negative")
-        if self.b < 0:
-            raise ValueError("intercept must be non-negative")
+        object.__setattr__(self, "b", _number("intercept", self.b, 0))
+        object.__setattr__(self, "n", _integer("n", self.n, 0))
+        for name in ("mape", "mse"):  # not required finite, so any fit's errors reload
+            object.__setattr__(self, name, _number(name, getattr(self, name)))
 
     def predict(self, explanatory: np.ndarray) -> np.ndarray:
         return np.asarray(explanatory, dtype=float) @ self.w + self.b
-
-
-def _checked_int(name: str, value, least: int) -> int:
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -224,17 +222,12 @@ class FitParams:
     range_quantiles: int = 16
 
     def __post_init__(self) -> None:
-        mape_stop = self.mape_stop
-        if (
-            not isinstance(mape_stop, (int, float, np.integer, np.floating))
-            or isinstance(mape_stop, bool)
-            or not (math.isfinite(mape_stop) and mape_stop > 0)
-        ):
-            raise ValueError(f"mape_stop must be a finite number > 0, got {mape_stop!r}")
-        object.__setattr__(self, "mape_stop", float(mape_stop))
+        object.__setattr__(self, "mape_stop", _number("mape_stop", self.mape_stop, 0, strict=True))
         for name, least in (("min_leaf", 2), ("max_depth", 0), ("range_quantiles", 0)):
-            object.__setattr__(self, name, _checked_int(name, getattr(self, name), least))
-        taus = tuple(_checked_int("multiple_taus entry", t, 2) for t in self.multiple_taus)
+            object.__setattr__(self, name, _integer(name, getattr(self, name), least))
+        if not isinstance(self.multiple_taus, (list, tuple)):
+            raise ValueError(f"multiple_taus must be a list or tuple, got {self.multiple_taus!r}")
+        taus = tuple(_integer("multiple_taus entry", t, 2) for t in self.multiple_taus)
         object.__setattr__(self, "multiple_taus", taus)
 
 
@@ -361,7 +354,7 @@ def _candidates(dataset: Dataset, params: FitParams) -> tuple[list[Condition], n
         thresholds = np.unique(quantiles[:, j])
         thresholds = thresholds[thresholds > 0]
         for kind, taus, masks in (
-            (ConditionKind.MULTIPLE, params.multiple_taus, column % moduli[:, None] == 0),
+            (ConditionKind.MULTIPLE, moduli, column % moduli[:, None] == 0),
             (ConditionKind.RANGE, thresholds, column <= thresholds[:, None]),
         ):
             n_left = masks.sum(axis=1)
@@ -710,8 +703,8 @@ def model_from_dict(doc: dict) -> TimeModel:
     _check_version(doc, ModelFormatError)
     try:
         kind = LayerKind(doc["layer_kind"])
-        ids = [int(nd["id"]) for nd in doc["nodes"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        ids = [_integer("node id", nd["id"]) for nd in doc["nodes"]]
+    except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model document: {exc}") from exc
     if not ids:
         raise ModelFormatError("model document has no nodes")
@@ -730,25 +723,18 @@ def model_from_dict(doc: dict) -> TimeModel:
         except KeyError:
             raise ModelFormatError(f"missing node id {node_id}") from None
         try:
-            fit = LinearFit(
-                w=np.asarray(nd["w"], dtype=float),
-                b=float(nd["b"]),
-                n=int(nd.get("n", 0)),
-                mape=float(nd.get("mape", 0.0)),
-                mse=float(nd.get("mse", 0.0)),
-            )
+            fit = LinearFit(w=nd["w"], b=nd["b"], n=nd.get("n", 0),
+                            mape=nd.get("mape", 0.0), mse=nd.get("mse", 0.0))
             condition = None
             if nd.get("cond") is not None:
                 cd = nd["cond"]
                 condition = Condition(
-                    feature_index=int(cd["feature"]),
-                    tau=cd["tau"],
-                    kind=ConditionKind(cd["kind"]),
+                    feature_index=cd["feature"], tau=cd["tau"], kind=ConditionKind(cd["kind"])
                 )
             left_id, right_id = nd.get("left"), nd.get("right")
             if left_id is not None and right_id is not None:
-                left_id, right_id = int(left_id), int(right_id)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                left_id, right_id = _integer("left", left_id), _integer("right", right_id)
+        except (KeyError, TypeError, ValueError) as exc:
             raise ModelFormatError(f"malformed node {node_id}: {exc}") from exc
         if fit.w.shape != (n_vars,):
             raise ModelFormatError(
@@ -788,7 +774,7 @@ def model_from_dict(doc: dict) -> TimeModel:
         return TimeModel(
             kind=kind, root=root, fit_params=_fit_params_from_dict(doc.get("fit_params", {}))
         )
-    except (TypeError, ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise ModelFormatError(str(exc)) from exc
 
 
@@ -800,14 +786,19 @@ def _dump(doc) -> bytes:
 def _parse_json(data: bytes | str, error: type[ValueError], where: str = ""):
     """Decode one JSON document or record, raising ``error`` when it is not valid JSON.
 
-    ``where`` (a path, or ``path:line`` for a record) prefixes the message.
+    Bytes must be UTF-8, as JSON text is (RFC 8259).  ``where`` (a path, or
+    ``path:line`` for a record) prefixes the message.
     """
+    prefix = f"{where}: " if where else ""
     if isinstance(data, bytes):
-        data = data.decode("utf-8", errors="replace")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise error(f"{prefix}not valid UTF-8: {exc}") from exc
     try:
         return json.loads(data)
-    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
-        prefix = f"{where}: " if where else ""
+    # ValueError also covers an integer literal too long to parse
+    except (ValueError, RecursionError) as exc:  # the latter: nested too deeply
         raise error(f"{prefix}not valid JSON: {exc}") from exc
 
 

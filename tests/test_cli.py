@@ -329,6 +329,39 @@ def test_non_finite_compression_exits_three_and_writes_nothing(tmp_path, capsys,
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "argv", [["expand"], ["compress"], ["compress", "--brute-force"]], ids=" ".join
+)
+def test_non_finite_network_total_exits_three_and_writes_nothing(tmp_path, capsys, argv):
+    # every layer predicts a finite 1.5e308 ms, but two layers sum to inf
+    doc = json.loads(save_oracle(default_oracle()))
+    cnn_doc = next(m for m in doc["models"] if m["layer_kind"] == "CNN")
+    for node in cnn_doc["nodes"]:
+        node["b"] = 1.5e308
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(doc))
+    net_path = write_network(tmp_path, [cnn(24, 24, 3, 3, 44, 64), cnn(24, 24, 3, 3, 64, 32)])
+    out_path = tmp_path / "out.json"
+    code = main([*argv, "--model", str(model_path), "--network", str(net_path),
+                 "--out", str(out_path)])
+    assert code == 3
+    _assert_numeric_error(capsys)
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("search", [[], ["--brute-force"]], ids=["greedy", "brute-force"])
+def test_non_finite_objective_exits_three_and_writes_nothing(tmp_path, capsys, search):
+    model_path = tmp_path / "model.json"
+    model_path.write_bytes(save_models(default_oracle().models))
+    net_path = write_network(tmp_path, [cnn(24, 24, 3, 3, 44, 64)])
+    out_path = tmp_path / "compressed.json"
+    code = main(["compress", "--model", str(model_path), "--network", str(net_path),
+                 "--lambda", "1e308", *search, "--out", str(out_path)])
+    assert code == 3
+    _assert_numeric_error(capsys)
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("mutation", ["duplicate id", "unreachable node"])
 def test_stray_model_nodes_are_data_errors(tmp_path, capsys, mutation):
     oracle_doc = json.loads(save_oracle(default_oracle()))
@@ -507,6 +540,51 @@ def test_plan_without_networks_is_a_usage_error(tmp_path, capsys, networks):
     code = main(["plan", f"--networks={networks}", "--out", str(out_path)])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: usage: --networks")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["plan", "--seed", "-1", "--out", "{out}"],
+     ["fit", "--dataset", "profile.jsonl", "--seed", "-3", "--out", "{out}"]],
+    ids=lambda argv: argv[0],
+)
+def test_negative_seed_is_a_usage_error(stage_dir, tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(stage_dir)
+    out_path = tmp_path / "out"
+    assert main([a.format(out=out_path) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: usage: --seed must be >= 0\n"
+    assert not out_path.exists()
+
+
+_BAD_UTF8_ARGV = {
+    "profile": (["fit", "--dataset", "{bad}", "--out", "{out}"], "profile.jsonl", ":2"),
+    "plan": (["synth", "--plan", "{bad}", "--out", "{out}"], "plan.jsonl", ":2"),
+    "config": (["predict", "--model", "model.json", "--config", "{bad}"], "layer.json", ""),
+    "model": (["predict", "--model", "{bad}", "--config", "layer.json"], "model.json", None),
+}
+
+
+@pytest.mark.parametrize("reader", list(_BAD_UTF8_ARGV))
+def test_invalid_utf8_is_a_data_error_at_its_location(stage_dir, tmp_path, monkeypatch, capsys,
+                                                      reader):
+    argv, source, suffix = _BAD_UTF8_ARGV[reader]
+    lines = (stage_dir / source).read_bytes().splitlines(keepends=True)
+    # a 0xff byte inside a string of the second line (the only line of a document)
+    index = min(1, len(lines) - 1)
+    lines[index] = lines[index].replace(b'"', b'"\xff', 1)
+    bad = tmp_path / source
+    bad.write_bytes(b"".join(lines))
+    out_path = tmp_path / "out"
+    monkeypatch.chdir(stage_dir)
+    assert main([a.format(bad=bad, out=out_path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    where = "" if suffix is None else f"{bad}{suffix}: "
+    assert captured.err.startswith(f"error: data: {where}not valid UTF-8: ")
+    assert captured.err.count("\n") == 1
     assert not out_path.exists()
 
 

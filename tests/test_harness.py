@@ -307,6 +307,28 @@ def test_oracle_seed_must_be_an_integer(seed):
     assert load_oracle(json.dumps(doc)).seed == -7
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [{"reps": 2.5}, {"reps": True}, {"time_ms": True}, {"time_ms": 10**400},
+     {"noise": True}, {"noise": "0.5"}, {"seed": "7"}, {"seed": 7.0}],
+    ids=lambda fields: repr(fields)[:40],
+)
+def test_samples_and_oracles_check_their_own_fields(fields):
+    with pytest.raises(ValueError, match=f"^{next(iter(fields))} (must be|is too large)"):
+        if "noise" in fields or "seed" in fields:
+            SyntheticOracle(models=default_oracle().models, **fields)
+        else:
+            ProfileSample(config=fc(3, 5), **{"time_ms": 1.0, **fields})
+
+
+@pytest.mark.parametrize("noise", [True, "0.5"])
+def test_oracle_noise_must_be_a_number(noise):
+    doc = json.loads(save_oracle(default_oracle()))
+    doc["noise"] = noise
+    with pytest.raises(ModelFormatError, match="noise must be a number"):
+        load_oracle(json.dumps(doc))
+
+
 @pytest.mark.parametrize("noise", [float("nan"), float("inf")])
 def test_non_finite_oracle_noise_rejected(tmp_path, capsys, noise):
     with pytest.raises(ValueError, match="noise"):

@@ -37,6 +37,7 @@ from layertime.layers import (
     width_fields,
 )
 from layertime import cli, steering
+from layertime.nnls import NumericError
 from layertime.steering import (
     AcceptedExpansion,
     CommandEvaluator,
@@ -455,6 +456,42 @@ def test_compression_rejects_bad_lambda(reference_model, lam):
         greedy_compress(zero, models, net, lam, [[32, 64]])
     with pytest.raises(ValueError, match="lam"):
         brute_force_compress(zero, models, net, lam, [[32, 64]])
+
+
+@pytest.mark.parametrize(
+    "lam, grid",
+    [(True, [[32, 64]]), ("1", [[32, 64]]), (1.0, [[2.7]]), (1.0, [[True]]), (1.0, [["8"]]),
+     (1.0, [[0, 8]])],
+    ids=repr,
+)
+def test_compression_arguments_follow_the_number_and_integer_rules(reference_model, lam, grid):
+    models = {LayerKind.CNN: reference_model}
+    net = NetworkSpec((cnn(24, 24, 3, 3, 43, 64),))
+    for search in (greedy_compress, brute_force_compress):
+        with pytest.raises(ValueError, match="^(lam|layer 0 grid width) must be"):
+            search(lambda _: 0.0, models, net, lam, grid)
+
+
+@pytest.mark.parametrize("src, dst", [(False, 1), (0.0, 1), (0, True), (0, 1.0)], ids=repr)
+def test_network_link_ids_are_exact_integers(src, dst):
+    net = NetworkSpec((cnn(24, 24, 3, 3, 3, 8), cnn(24, 24, 3, 3, 8, 16)))
+    doc = json.loads(save_network(net))
+    doc["links"][0].update(src=src, dst=dst)
+    with pytest.raises(NetworkFormatError, match="does not join"):
+        load_network(json.dumps(doc))
+
+
+def test_network_layers_must_be_a_list():
+    with pytest.raises(NetworkFormatError, match="'layers' list"):
+        load_network('{"format_version": "1.0", "layers": {}}')
+
+
+def test_network_time_raises_on_a_non_finite_total():
+    huge = TimeModel(kind=LayerKind.FC, root=leaf((0.0, 0.0, 0.0), 1.5e308))
+    net = NetworkSpec((fc(4, 4), fc(4, 4)))
+    assert network_time({LayerKind.FC: huge}, NetworkSpec((fc(4, 4),))) == 1.5e308
+    with pytest.raises(NumericError, match="non-finite total"):
+        network_time({LayerKind.FC: huge}, net)
 
 
 # --- compression search --------------------------------------------------------------

@@ -115,6 +115,48 @@ def test_multiple_condition_requires_integer_tau():
     assert Condition(0, 4.0, MULTIPLE).tau == 4
 
 
+_VALID_FIELDS = {
+    Condition: {"feature_index": 0, "tau": 4, "kind": MULTIPLE},
+    LinearFit: {"w": [1e-8, 1e-6, 0.0], "b": 1.0, "n": 0, "mape": 0.0, "mse": 0.0},
+    FitParams: {},
+}
+
+
+@pytest.mark.parametrize(
+    "cls, field, value",
+    [
+        (Condition, "feature_index", True),
+        (Condition, "feature_index", 2.9),
+        (Condition, "tau", "4"),
+        (Condition, "tau", True),
+        (Condition, "tau", 10**400),
+        (LinearFit, "w", [3.3e-8, True, 0]),
+        (LinearFit, "w", ["1", 0, 0]),
+        (LinearFit, "b", "11"),
+        (LinearFit, "b", True),
+        (LinearFit, "b", 10**400),
+        (LinearFit, "n", 2.7),
+        (LinearFit, "n", -1),
+        (LinearFit, "mape", "nan"),
+        (FitParams, "multiple_taus", {}),
+        (FitParams, "multiple_taus", ""),
+    ],
+    ids=lambda value: getattr(value, "__name__", repr(value)[:20]),
+)
+def test_value_types_check_their_own_fields(cls, field, value):
+    with pytest.raises(ValueError):
+        cls(**{**_VALID_FIELDS[cls], field: value})
+
+
+def test_value_types_store_numpy_numbers_as_python_numbers():
+    condition = Condition(np.int64(2), np.float64(4.0), MULTIPLE)
+    assert (type(condition.feature_index), type(condition.tau)) == (int, int)
+    # a fit's errors need not be finite, so a saved fit always reloads
+    fit = LinearFit(w=np.array([1, 2, 0]), b=np.float32(0.5), n=np.int64(3),
+                    mape=float("inf"), mse=float("nan"))
+    assert fit.w.dtype == float and (type(fit.b), type(fit.n)) == (float, int)
+
+
 def test_range_condition_requires_positive_tau():
     with pytest.raises(ValueError):
         Condition(0, 0.0, RANGE)
