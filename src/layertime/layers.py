@@ -248,17 +248,19 @@ def conv_output_dims(
     ):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
-    if pad is Padding.VALID:
-        if kernel_height > in_height or kernel_width > in_width:
-            raise ValueError(
-                "valid padding with kernel larger than the input has no output"
-            )
-        out_h = (in_height - kernel_height) // stride + 1
-        out_w = (in_width - kernel_width) // stride + 1
-    else:
-        out_h = -(-in_height // stride)
-        out_w = -(-in_width // stride)
-    return out_h, out_w
+    if pad is Padding.VALID and (kernel_height > in_height or kernel_width > in_width):
+        raise ValueError("valid padding with kernel larger than the input has no output")
+    return _conv_dims(in_height, in_width, kernel_height, kernel_width, stride, pad)
+
+
+def _conv_dims(
+    in_height: int, in_width: int, kernel_height: int, kernel_width: int, stride: int,
+    padding: Padding,
+) -> tuple[int, int]:
+    """:func:`conv_output_dims` without its checks, for sizes a config already checked."""
+    if padding is Padding.VALID:
+        return (in_height - kernel_height) // stride + 1, (in_width - kernel_width) // stride + 1
+    return -(-in_height // stride), -(-in_width // stride)
 
 
 @dataclass(frozen=True, slots=True)
@@ -324,6 +326,29 @@ def width_fields(kind: LayerKind) -> tuple[str, str]:
     return ("in_dim", "out_dim")
 
 
+def _with_widths(config: StructureConfig, **widths: int) -> StructureConfig:
+    """A copy of ``config`` with some of its width fields changed.
+
+    Each new width is checked as the constructor checks it.  Widths take
+    part in no rule that joins fields (stride and the valid-padding fit
+    involve only kernel, extent and stride), so the copy is exactly the
+    config the constructor would build, at a fraction of its cost.
+    """
+    allowed = width_fields(config.kind)
+    for name, value in widths.items():
+        if name not in allowed:
+            raise ValueError(f"{name} is not a width field of {config.kind.value} layers")
+        if type(value) is not int or value < 1:
+            widths[name] = _integer(name, value, 1)
+    copy = object.__new__(StructureConfig)
+    set_slot = object.__setattr__
+    for name in StructureConfig.__slots__:
+        set_slot(copy, name, getattr(config, name))
+    for name, value in widths.items():
+        set_slot(copy, name, value)
+    return copy
+
+
 def _derived(config: StructureConfig) -> tuple[int, int, int, int, int]:
     """``(mem_in, mem_out, mem_inter, param_size, flops)`` of a configuration."""
     kind = config.kind
@@ -333,21 +358,18 @@ def _derived(config: StructureConfig) -> tuple[int, int, int, int, int]:
         # flops: a multiply-add per weight plus the bias add
         return in_dim, out_dim, 0, param_size, 2 * in_dim * out_dim + out_dim
     if kind is LayerKind.CNN:
-        out_h, out_w = conv_output_dims(
-            config.in_height,
-            config.in_width,
-            config.kernel_height,
-            config.kernel_width,
-            config.stride,
-            config.padding,
-        )
-        kernel = config.kernel_height * config.kernel_width
+        in_h, in_w = config.in_height, config.in_width
+        k_h, k_w = config.kernel_height, config.kernel_width
+        in_c, out_c = config.in_channel, config.out_channel
+        out_h, out_w = _conv_dims(in_h, in_w, k_h, k_w, config.stride, config.padding)
+        # exact integers, so grouping the products changes no value
+        inter = out_h * out_w * k_h * k_w * in_c
         return (
-            config.in_height * config.in_width * config.in_channel,
-            out_h * out_w * config.out_channel,
-            out_h * out_w * kernel * config.in_channel,
-            kernel * config.in_channel * config.out_channel + 1,
-            2 * out_h * out_w * kernel * config.in_channel * config.out_channel,
+            in_h * in_w * in_c,
+            out_h * out_w * out_c,
+            inter,
+            k_h * k_w * in_c * out_c + 1,
+            2 * inter * out_c,
         )
     step, in_dim, out_dim = config.step, config.in_dim, config.out_dim
     if kind is LayerKind.GRU:
@@ -370,27 +392,33 @@ def _row_values(config: StructureConfig) -> list[float]:
     Raises ``ValueError`` when a field or a derived size does not fit a float.
     """
     mem_in, mem_out, mem_inter, param_size, flops = _derived(config)
-    values: list[float] = []
+    kind = config.kind
+    # each row: structural fields, the memory features, then the explanatory
+    # flops, mem and param_size (and step, for recurrent kinds)
     try:
-        for name in _FIELDS_BY_KIND[config.kind]:
-            raw = getattr(config, name)
-            values.append(float(PADDING_CODES[raw] if name == "padding" else raw))
-        values += (float(mem_in), float(mem_out), float(mem_inter), float(param_size))
-        values += (float(flops), float(mem_in + mem_out + mem_inter), float(param_size))
-        if config.kind in RECURRENT_KINDS:
-            values.append(float(config.step))
+        if kind is LayerKind.CNN:
+            return [
+                float(config.in_height), float(config.in_width),
+                float(config.kernel_height), float(config.kernel_width),
+                float(config.in_channel), float(config.out_channel),
+                float(PADDING_CODES[config.padding]), float(config.stride),
+                float(mem_in), float(mem_out), float(mem_inter), float(param_size),
+                float(flops), float(mem_in + mem_out + mem_inter), float(param_size),
+            ]
+        if kind is LayerKind.FC:
+            return [
+                float(config.in_dim), float(config.out_dim),
+                float(mem_in), float(mem_out), float(mem_inter), float(param_size),
+                float(flops), float(mem_in + mem_out + mem_inter), float(param_size),
+            ]
+        step = float(config.step)
+        return [
+            float(config.in_dim), float(config.out_dim), step,
+            float(mem_in), float(mem_out), float(mem_inter), float(param_size),
+            float(flops), float(mem_in + mem_out + mem_inter), float(param_size), step,
+        ]
     except OverflowError:
-        raise ValueError(
-            f"{config.kind.value} config has a size too large for a float"
-        ) from None
-    return values
-
-
-def _row_arrays(config: StructureConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Feature and explanatory arrays of a configuration from one derivation."""
-    values = _row_values(config)
-    n = _n_features(config.kind)
-    return np.array(values[:n]), np.array(values[n:])
+        raise ValueError(f"{kind.value} config has a size too large for a float") from None
 
 
 def derive_features(config: StructureConfig) -> FeatureVector:

@@ -20,9 +20,9 @@ import functools
 import itertools
 import math
 import tempfile
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,19 +31,29 @@ from .layers import (
     LayerKind,
     StructureConfig,
     _integer,
+    _n_features,
     _number,
-    _row_arrays,
+    _row_values,
+    _with_widths,
     config_from_dict,
     config_to_dict,
-    derive_features,
     explanatory_names,
     feature_names,
     width_fields,
 )
-# unused here: bound so that tracers which wrap this name per module find it
-from .layers import derive_explanatory  # noqa: F401
+# unused here: bound so that tracers which wrap these names per module find them
+from .layers import derive_explanatory, derive_features  # noqa: F401
 from .nnls import NumericError
-from .tree import FORMAT_VERSION, ConditionKind, TimeModel, _check_version, _dump, _parse_json
+from .tree import (
+    FORMAT_VERSION,
+    ConditionKind,
+    TimeModel,
+    _check_version,
+    _dump,
+    _holds,
+    _parse_json,
+    _route,
+)
 
 __all__ = [
     "NetworkSpec",
@@ -102,7 +112,7 @@ def _coupled_kinds(a: LayerKind, b: LayerKind) -> bool:
 
 def _shared_widths(layers: Sequence[StructureConfig]) -> tuple[tuple[int, str, str], ...]:
     """``(i, output field of layer i, input field of layer i + 1)`` per coupled pair."""
-    return _junctions(tuple(layer.kind for layer in layers))
+    return _junctions(tuple([layer.kind for layer in layers]))
 
 
 @functools.lru_cache(maxsize=128)
@@ -182,24 +192,25 @@ class ExpansionTrace:
     rule: str = ACCEPTANCE_RULE
 
 
-def _obeys_trail(trail: list, features: np.ndarray) -> bool:
-    return all(bool(cond.holds(features)) == truth for cond, truth in trail)
+def _obeys_trail(trail: list, features: Sequence[float]) -> bool:
+    return all(_holds(cond, features[cond.feature_index]) == truth for cond, truth in trail)
 
 
 def _walk_once(
     model: TimeModel, config: StructureConfig, original: StructureConfig
 ) -> tuple[StructureConfig, list[AcceptedExpansion]]:
-    names = feature_names(model.kind)
-    expandable = set(width_fields(model.kind))
+    n = _n_features(model.kind)
     current = config
-    f, x = _row_arrays(current)
+    # routed on the Python floats of one derivation, priced on its explanatory array
+    values = _row_values(current)
+    f, x = values[:n], np.array(values[n:])
     trail: list = []
     accepted: list[AcceptedExpansion] = []
     node = model.root
-    while not node.is_leaf:
+    while node.condition is not None:
         cond = node.condition
         if cond.kind is ConditionKind.RANGE:
-            truth = bool(cond.holds(f))
+            truth = _holds(cond, f[cond.feature_index])
             trail.append((cond, truth))
             node = node.left if truth else node.right
             continue
@@ -212,10 +223,12 @@ def _walk_once(
             current_time = float(node.right.fit.predict(x))
             node = node.left if expanded_time <= current_time else node.right
             continue
-        field = names[cond.feature_index]
-        if field in expandable and target <= _EXPANSION_CAP * getattr(original, field):
-            candidate = dc_replace(current, **{field: int(target)})
-            f_hat, x_hat = _row_arrays(candidate)
+        field = feature_names(model.kind)[cond.feature_index]
+        expandable = field in width_fields(model.kind)
+        if expandable and target <= _EXPANSION_CAP * getattr(original, field):
+            candidate = _with_widths(current, **{field: int(target)})
+            values = _row_values(candidate)
+            f_hat, x_hat = values[:n], np.array(values[n:])
             expanded_time = float(node.left.fit.predict(x_hat))
             current_time = float(node.right.fit.predict(x))
             if expanded_time <= current_time and _obeys_trail(trail, f_hat):
@@ -292,7 +305,7 @@ def expand_network(
     entries = tuple(
         expand_layer(_model_for(model_map, layer.kind), layer)[1] for layer in net.layers
     )
-    expanded, conflicts = _reconcile(
+    expanded, conflicts, _ = _reconcile(
         entries, lambda config: _model_for(model_map, config.kind).predict(config)
     )
     trace = ExpansionTrace(entries=entries, conflicts=conflicts, reverted=expanded is None)
@@ -301,12 +314,14 @@ def expand_network(
 
 def _reconcile(
     entries: Sequence[LayerExpansion], price: Callable[[StructureConfig], float]
-) -> tuple[NetworkSpec | None, tuple[ConflictResolution, ...]]:
+) -> tuple[NetworkSpec | None, tuple[ConflictResolution, ...], list[float]]:
     """Resolve the width conflicts between expanded neighbours, in layer order.
 
     ``price`` gives a configuration's predicted time.  Returns the
     reconciled network, or ``None`` when it predicts slower in total than
-    the unexpanded layers, together with the conflicts met on the way.
+    the unexpanded layers, together with the conflicts met on the way and
+    the per-layer times of the network returned (of the unexpanded layers
+    for ``None``).
     """
     configs = [entry.expanded for entry in entries]
     times = [entry.time_after for entry in entries]
@@ -324,7 +339,7 @@ def _reconcile(
         ):
             # only layer j changes, so only it is re-priced
             option_configs, option_times = list(configs), list(times)
-            option_configs[j] = dc_replace(configs[j], **changes)
+            option_configs[j] = _with_widths(configs[j], **changes)
             option_times[j] = price(option_configs[j])
             options[name] = (option_configs, option_times)
             totals[name] = sum(option_times)
@@ -341,9 +356,10 @@ def _reconcile(
             )
         )
 
-    if sum(times) > sum(entry.time_before for entry in entries):
-        return None, tuple(conflicts)
-    return NetworkSpec(tuple(configs)), tuple(conflicts)
+    times_before = [entry.time_before for entry in entries]
+    if sum(times) > sum(times_before):
+        return None, tuple(conflicts), times_before
+    return NetworkSpec(tuple(configs)), tuple(conflicts), times
 
 
 def network_time(model_map: Mapping[LayerKind, TimeModel], net: NetworkSpec) -> float:
@@ -364,9 +380,30 @@ def time_aware_objective(
     net: NetworkSpec,
     lam: float,
 ) -> float:
-    """Compression objective: evaluator loss plus ``lam`` times predicted time."""
+    """Compression objective: evaluator loss plus ``lam`` times predicted time.
+
+    Raises :class:`EvaluationError` when the loss is not a finite number
+    >= 0, and :class:`NumericError` when the objective is not finite.
+    """
     lam = _number("lam", lam, 0)
-    return float(evaluator(net)) + lam * network_time(model_map, net)
+    times = (_model_for(model_map, c.kind).predict(c) for c in net.layers)
+    return _score(evaluator(net), lam, times)
+
+
+def _score(loss, lam: float, times: Iterable[float]) -> float:
+    """``loss + lam * sum(times)``, the one scoring of every compression objective.
+
+    The loss is checked before ``times`` is read, so a lazy ``times``
+    prices nothing for an invalid loss.
+    """
+    loss = float(loss)
+    if not math.isfinite(loss) or loss < 0:
+        raise EvaluationError(f"evaluator returned invalid loss {loss!r}")
+    # the same terms in the same order as network_time
+    value = loss + lam * sum(times)
+    if not math.isfinite(value):
+        raise NumericError(f"compression objective is non-finite ({value})")
+    return value
 
 
 # --- zero-padding plans ------------------------------------------------------
@@ -503,19 +540,16 @@ class _Objective:
             self.prices[config] = predicted
         return predicted
 
-    def __call__(self, net: NetworkSpec) -> float:
+    def __call__(self, net: NetworkSpec, times: Sequence[float] | None = None) -> float:
+        """The objective of ``net``; ``times``, if given, are its layers' prices."""
         value = self.cache.get(net)
         if value is None:
             if self.calls >= self.budget:
                 raise _BudgetExhausted
             self.calls += 1
-            loss = float(self.evaluator(net))
-            if not math.isfinite(loss) or loss < 0:
-                raise EvaluationError(f"evaluator returned invalid loss {loss!r}")
-            # the same terms in the same order as network_time
-            value = loss + self.lam * sum(self.price(c) for c in net.layers)
-            if not math.isfinite(value):
-                raise NumericError(f"compression objective is non-finite ({value})")
+            if times is None:
+                times = (self.price(c) for c in net.layers)
+            value = _score(self.evaluator(net), self.lam, times)
             self.cache[net] = value
         return value
 
@@ -539,10 +573,10 @@ def _apply_widths(net: NetworkSpec, widths: Sequence[int]) -> NetworkSpec:
         # a valid network already gives a shared next input this width too
         if getattr(layers[i], out_field) == width:
             continue
-        layers[i] = dc_replace(layers[i], **{out_field: width})
+        layers[i] = _with_widths(layers[i], **{out_field: width})
         if i + 1 < len(layers) and _coupled_kinds(layers[i].kind, layers[i + 1].kind):
             in_field = width_fields(layers[i + 1].kind)[0]
-            layers[i + 1] = dc_replace(layers[i + 1], **{in_field: width})
+            layers[i + 1] = _with_widths(layers[i + 1], **{in_field: width})
     return NetworkSpec(tuple(layers))
 
 
@@ -619,7 +653,7 @@ def _width_tables(
         for w_in in [None] if j is None else grids[j]:
             for w_out in grids[i]:
                 changes = {out_field: w_out} if j is None else {in_field: w_in, out_field: w_out}
-                table[w_in, w_out] = expand_layer(model, dc_replace(layer, **changes))[1]
+                table[w_in, w_out] = expand_layer(model, _with_widths(layer, **changes))[1]
         tables.append((j, table))
     return tables
 
@@ -637,7 +671,8 @@ def brute_force_compress(
     ``expand_network`` would expand it; ties go to the lexicographically
     smallest widths.  Each layer is expanded once per width pair it can
     take, and the objective never predicts a configuration that a table
-    entry already priced.
+    entry already priced: each combination is scored from the layer times
+    that reconciling its entries settled on.
     """
     lam = _number("lam", lam, 0)
     grids = _check_grid(net, width_grid)
@@ -648,7 +683,8 @@ def brute_force_compress(
         raise ValueError(f"search space of {total} candidates is too large")
     objective = _Objective(evaluator, model_map, lam, budget=math.inf)
     tables = _width_tables(model_map, net, grids)
-    # expand_layer already predicted both ends of every entry
+    # expand_layer already predicted both ends of every entry, so only a
+    # conflict's re-priced layer can reach a model
     for _, table in tables:
         for entry in table.values():
             objective.prices[entry.original] = entry.time_before
@@ -659,10 +695,10 @@ def brute_force_compress(
             table[None if j is None else widths[j], width]
             for (j, table), width in zip(tables, widths)
         ]
-        expanded, _ = _reconcile(entries, objective.price)
+        expanded, _, times = _reconcile(entries, objective.price)
         if expanded is None:
             expanded = _apply_widths(net, widths)
-        value = objective(expanded)
+        value = objective(expanded, times)
         if best is None or value < best[0]:
             best = (value, expanded)
     return net if best is None else best[1]
@@ -678,12 +714,13 @@ def rnn_time_floor(model: TimeModel, net: NetworkSpec) -> float:
     if model.kind not in RECURRENT_KINDS:
         raise ValueError(f"model kind {model.kind.value} is not recurrent")
     step_index = explanatory_names(model.kind).index("step")
+    n = _n_features(model.kind)
     floor = 0.0
     for layer in net.layers:
         if layer.kind is not model.kind:
             continue
-        minimal = dc_replace(layer, in_dim=1, out_dim=1)
-        leaf = model.route_features(derive_features(minimal).as_array())
+        values = _row_values(_with_widths(layer, in_dim=1, out_dim=1))
+        leaf = _route(model.root, values[:n])
         floor += layer.step * float(leaf.fit.w[step_index])
     return floor
 

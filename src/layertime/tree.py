@@ -32,8 +32,8 @@ from .layers import (
     LayerKind,
     StructureConfig,
     _integer,
+    _n_features,
     _number,
-    _row_arrays,
     _row_values,
     explanatory_names,
     feature_names,
@@ -91,12 +91,15 @@ class Condition:
     kind: ConditionKind
 
     def __post_init__(self) -> None:
+        kind = self.kind
+        if kind is not ConditionKind.RANGE and kind is not ConditionKind.MULTIPLE:
+            raise ValueError(f"condition kind must be a ConditionKind, got {kind!r}")
         index, tau = self.feature_index, self.tau  # valid ints and floats skip the calls
         if type(index) is not int or index < 0:
             object.__setattr__(self, "feature_index", _integer("feature_index", index, 0))
         if not (isinstance(tau, float) and 0 < tau < math.inf):
             tau = _number("tau", tau, 0, strict=True)
-        multiple = self.kind is ConditionKind.MULTIPLE
+        multiple = kind is ConditionKind.MULTIPLE
         if multiple and (tau != int(tau) or tau < 2):
             raise ValueError(f"multiple condition needs integer tau >= 2, got {self.tau}")
         object.__setattr__(self, "tau", int(tau) if multiple else float(tau))
@@ -107,6 +110,29 @@ class Condition:
         if self.kind is ConditionKind.RANGE:
             return column <= self.tau
         return column % self.tau == 0
+
+
+def _holds(condition: Condition, value: float) -> bool:
+    """:meth:`Condition.holds` on one feature value, a Python float.
+
+    Features are non-negative and ``fmod`` is exact, so ``<=`` and ``%``
+    on floats give the bits numpy's ``less_equal`` and ``remainder`` give.
+    """
+    if condition.kind is ConditionKind.RANGE:
+        return value <= condition.tau
+    return value % condition.tau == 0
+
+
+def _route(node: "Node", features: Sequence[float]) -> "Node":
+    """The leaf that a row of feature values reaches from ``node``.
+
+    The conditions are read as the walk meets them, so a condition
+    rewritten on a built model is followed.
+    """
+    while node.condition is not None:
+        condition = node.condition
+        node = node.left if _holds(condition, features[condition.feature_index]) else node.right
+    return node
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,8 +321,12 @@ class TimeModel:
             raise ValueError(
                 f"model fits {self.kind.value} layers, got {config.kind.value}"
             )
-        features, explanatory = _row_arrays(config)
-        time = float(self.route_features(features).fit.predict(explanatory))
+        values = _row_values(config)
+        n = _n_features(self.kind)
+        # routed on the feature prefix, so an out-of-range feature index
+        # raises IndexError; the leaf law stays numpy's one-row product
+        leaf = _route(self.root, values[:n])
+        time = float(leaf.fit.predict(np.array(values[n:])))
         if not math.isfinite(time):
             raise NumericError(f"{self.kind.value} model predicts a non-finite time ({time})")
         return time

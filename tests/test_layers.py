@@ -440,3 +440,150 @@ def test_equal_configs_hash_equal_however_built(kind, padding):
     prices[decoded] = 2.0
     prices[replaced] = 3.0
     assert prices == {direct: 3.0}
+
+
+# --- the width copy -------------------------------------------------------------------
+
+_ONE_OF_EACH = {
+    LayerKind.FC: fc(8, 16),
+    LayerKind.CNN: cnn(24, 24, 3, 3, 8, 16, stride=2, padding="valid"),
+    LayerKind.GRU: gru(8, 16, 10),
+    LayerKind.LSTM: lstm(8, 16, 10),
+}
+
+
+@settings(max_examples=200)
+@given(
+    config=any_config(),
+    which=st.sampled_from(["in", "out", "both"]),
+    widths=st.tuples(st.integers(1, 5000), st.integers(1, 5000)),
+    as_numpy=st.booleans(),
+)
+def test_width_copy_equals_replace(config, which, widths, as_numpy):
+    in_field, out_field = width_fields(config.kind)
+    convert = np.int64 if as_numpy else int
+    changes = {}
+    if which != "out":
+        changes[in_field] = convert(widths[0])
+    if which != "in":
+        changes[out_field] = convert(widths[1])
+    before = dataclasses.astuple(config)
+    copy = layers._with_widths(config, **changes)
+    expected = dataclasses.replace(config, **changes)
+    assert copy == expected and hash(copy) == hash(expected)
+    assert type(copy) is StructureConfig and not hasattr(copy, "__dict__")
+    # numpy widths are stored as Python ints, as the constructor stores them
+    assert [type(v) for v in dataclasses.astuple(copy)] == [
+        type(v) for v in dataclasses.astuple(expected)
+    ]
+    assert _row_values(copy) == _row_values(expected)
+    assert dataclasses.astuple(config) == before
+
+
+@pytest.mark.parametrize("kind", list(LayerKind), ids=str)
+@pytest.mark.parametrize("value", [0, -3, True, 2.5, "4", np.float64(4.0)], ids=repr)
+def test_width_copy_raises_the_constructors_messages(kind, value):
+    config = _ONE_OF_EACH[kind]
+    for name in width_fields(kind):
+        with pytest.raises(ValueError) as expected:
+            dataclasses.replace(config, **{name: value})
+        with pytest.raises(ValueError) as got:
+            layers._with_widths(config, **{name: value})
+        assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize(
+    "kind, name",
+    [(LayerKind.CNN, name) for name in ("kind", "in_height", "kernel_width", "stride", "padding",
+                                        "in_dim")]
+    + [(LayerKind.FC, "in_channel"), (LayerKind.GRU, "step"), (LayerKind.LSTM, "out_channel")],
+)
+def test_width_copy_rejects_a_field_that_is_not_a_width(kind, name):
+    with pytest.raises(ValueError, match=f"{name} is not a width field of {kind.value} layers"):
+        layers._with_widths(_ONE_OF_EACH[kind], **{name: 4})
+
+
+# --- the one-pass row -----------------------------------------------------------------
+# The derivation and row builder that the one-pass versions replaced, kept
+# as the reference.
+
+
+def reference_derived(config):
+    kind = config.kind
+    if kind is LayerKind.FC:
+        in_dim, out_dim = config.in_dim, config.out_dim
+        param_size = in_dim * out_dim + out_dim
+        return in_dim, out_dim, 0, param_size, 2 * in_dim * out_dim + out_dim
+    if kind is LayerKind.CNN:
+        out_h, out_w = conv_output_dims(
+            config.in_height, config.in_width, config.kernel_height, config.kernel_width,
+            config.stride, config.padding,
+        )
+        kernel = config.kernel_height * config.kernel_width
+        return (
+            config.in_height * config.in_width * config.in_channel,
+            out_h * out_w * config.out_channel,
+            out_h * out_w * kernel * config.in_channel,
+            kernel * config.in_channel * config.out_channel + 1,
+            2 * out_h * out_w * kernel * config.in_channel * config.out_channel,
+        )
+    step, in_dim, out_dim = config.step, config.in_dim, config.out_dim
+    if kind is LayerKind.GRU:
+        param_size = 3 * out_dim * (in_dim + out_dim + 1)
+        memory = (step * in_dim, step * out_dim, 3 * step * out_dim)
+    else:
+        param_size = 4 * out_dim * (in_dim + out_dim + 1)
+        memory = (2 * step * in_dim, 2 * step * out_dim, 4 * step * out_dim)
+    return (*memory, param_size, 2 * step * param_size)
+
+
+def reference_row_values(config):
+    mem_in, mem_out, mem_inter, param_size, flops = reference_derived(config)
+    values = []
+    try:
+        for name in layers._FIELDS_BY_KIND[config.kind]:
+            raw = getattr(config, name)
+            values.append(float(layers.PADDING_CODES[raw] if name == "padding" else raw))
+        values += (float(mem_in), float(mem_out), float(mem_inter), float(param_size))
+        values += (float(flops), float(mem_in + mem_out + mem_inter), float(param_size))
+        if config.kind in layers.RECURRENT_KINDS:
+            values.append(float(config.step))
+    except OverflowError:
+        raise ValueError(
+            f"{config.kind.value} config has a size too large for a float"
+        ) from None
+    return values
+
+
+def huge_config():
+    """Configs whose fields or derived sizes may not fit a float."""
+    size = st.one_of(st.integers(1, 4096), st.integers(1, 10**320))
+    cnn_configs = st.tuples(
+        st.one_of(st.integers(24, 225), st.integers(24, 10**200)),
+        st.integers(24, 225), size, size,
+        st.sampled_from([1, 2]), st.sampled_from(["valid", "same"]),
+    ).map(lambda t: cnn(t[0], t[1], 3, 3, t[2], t[3], t[4], t[5]))
+    return st.one_of(
+        st.builds(fc, size, size),
+        cnn_configs,
+        st.builds(gru, size, size, st.one_of(st.integers(1, 20), st.integers(1, 10**320))),
+        st.builds(lstm, size, size, st.one_of(st.integers(1, 20), st.integers(1, 10**320))),
+    )
+
+
+@settings(max_examples=300)
+@given(config=st.one_of(any_config(), huge_config()))
+@example(config=cnn(24, 24, 3, 3, 10**400, 16))
+@example(config=lstm(10**200, 4, 10**200))
+def test_row_values_equal_the_replaced_builder(config):
+    try:
+        expected = reference_row_values(config)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            _row_values(config)
+        assert str(got.value) == str(exc)
+        return
+    assert layers._derived(config) == reference_derived(config)
+    got = _row_values(config)
+    assert type(got) is list and [type(v) for v in got] == [float] * len(expected)
+    assert [v.hex() for v in got] == [v.hex() for v in expected]

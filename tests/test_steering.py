@@ -494,6 +494,42 @@ def test_network_time_raises_on_a_non_finite_total():
         network_time({LayerKind.FC: huge}, net)
 
 
+def _objectives(models, net, lam, loss):
+    """The public objective and the search's, each as a thunk."""
+    return {
+        "time_aware_objective": lambda: time_aware_objective(lambda _: loss, models, net, lam),
+        "search": lambda: steering._Objective(lambda _: loss, models, lam, budget=1)(net),
+        "greedy": lambda: greedy_compress(lambda _: loss, models, net, lam, [[64]]),
+    }
+
+
+@pytest.mark.parametrize("which", ["time_aware_objective", "search", "greedy"])
+def test_an_overflowing_objective_is_a_numeric_error(which):
+    models = dict(default_oracle().models)
+    net = NetworkSpec((cnn(24, 24, 3, 3, 43, 64),))
+    # every layer time is finite; lam times the total is not
+    assert math.isfinite(network_time(models, net))
+    with pytest.raises(NumericError, match="compression objective is non-finite"):
+        _objectives(models, net, 1e308, 1.0)[which]()
+
+
+@pytest.mark.parametrize("which", ["time_aware_objective", "search", "greedy"])
+@pytest.mark.parametrize("loss", [float("nan"), -5.0, float("inf")], ids=repr)
+def test_an_invalid_loss_is_an_evaluation_error(which, loss):
+    models = dict(default_oracle().models)
+    net = NetworkSpec((cnn(24, 24, 3, 3, 43, 64),))
+    with pytest.raises(EvaluationError, match="invalid loss"):
+        _objectives(models, net, 1.0, loss)[which]()
+
+
+def test_the_objectives_score_alike(reference_model):
+    models = {LayerKind.CNN: reference_model}
+    net = NetworkSpec((cnn(24, 24, 3, 3, 8, 43), cnn(24, 24, 3, 3, 43, 64)))
+    search = steering._Objective(lambda _: 2.5, models, 0.3, budget=1)
+    assert time_aware_objective(lambda _: 2.5, models, net, 0.3) == search(net)
+    assert search(net) == 2.5 + 0.3 * network_time(models, net)
+
+
 # --- compression search --------------------------------------------------------------
 
 
@@ -973,6 +1009,26 @@ def test_walk_once_matches_the_two_derivation_reference(kind, seed):
             # a second walk starts from the first one's result
             again = steering._walk_once(model, walked[0], config)
             assert again == reference_walk_once(model, walked[0], config)
+
+
+def test_predict_and_walk_follow_a_condition_rewritten_after_build():
+    # routing reads each node's condition as it walks, so a compiled or
+    # cached view of the tree would have to see this rewrite too
+    names = feature_names(LayerKind.CNN)
+    out_channel = names.index("out_channel")
+    cheap, dear = leaf((0.0, 0.0, 0.0), 1.0), leaf((0.0, 0.0, 0.0), 5.0)
+    root = Node(fit=cheap.fit, condition=Condition(out_channel, 64.0, RANGE), left=cheap, right=dear)
+    model = TimeModel(kind=LayerKind.CNN, root=root)
+    config = cnn(24, 24, 3, 3, 8, 30)
+    assert model.predict(config) == 1.0
+    root.condition = Condition(out_channel, 16.0, RANGE)
+    assert model.predict(config) == 5.0
+    # a multiple condition on a width: the walk rounds it up to the cheaper side
+    for tau, width in ((4, 32), (7, 35), (3, 30)):
+        root.condition = Condition(out_channel, tau, MULTIPLE)
+        walked, _ = steering._walk_once(model, config, config)
+        assert walked.out_channel == width
+        assert model.predict(config) == (1.0 if 30 % tau == 0 else 5.0)
 
 
 def reference_shared_widths(layers):

@@ -16,7 +16,7 @@ from conftest import (
     random_config,
     random_tree_model,
 )
-from layertime import layers
+from layertime import layers, tree
 from layertime.layers import (
     PADDING_CODES,
     RECURRENT_KINDS,
@@ -167,6 +167,13 @@ def test_condition_holds_on_rows_and_matrices():
     features = np.array([[0.0, 8.0], [0.0, 9.0]])
     assert list(cond.holds(features)) == [True, False]
     assert bool(cond.holds(features[0])) is True
+
+
+@pytest.mark.parametrize("kind", ["multiple", "range", None, 0, ConditionKind], ids=repr)
+def test_condition_kind_must_be_a_condition_kind(kind):
+    # a text kind once built with an unchecked tau, and holds took it as multiple
+    with pytest.raises(ValueError, match="condition kind must be a ConditionKind"):
+        Condition(0, 4.5, kind)
 
 
 def test_dataset_rejects_nonpositive_times():
@@ -564,6 +571,76 @@ def test_predict_derives_once(monkeypatch, reference_model):
     for n in (1, 2, 3):
         reference_model.predict(config)
         assert len(calls) == n
+
+
+def feature_split_tree(rng, kind, features, depth=0):
+    """A random tree over ``features``: range taus equal to feature values,
+    and multiple conditions on every feature, zero-valued ones included."""
+    node = Node(fit=leaf((0.0,) * len(layers.explanatory_names(kind)), float(depth)).fit)
+    if depth >= 5 or rng.random() < 0.2:
+        return node
+    j = int(rng.integers(0, len(features)))
+    value = features[j]
+    if rng.random() < 0.5:
+        node.condition = Condition(j, int(rng.choice([2, 3, 4, 6, 8, 16, 32])), MULTIPLE)
+    else:
+        tau = value if value > 0 else 1.0
+        if rng.random() < 0.3:  # one ulp either side of the value
+            tau = float(np.nextafter(tau, rng.choice([0.0, np.inf])))
+        node.condition = Condition(j, tau, RANGE)
+    node.left = feature_split_tree(rng, kind, features, depth + 1)
+    node.right = feature_split_tree(rng, kind, features, depth + 1)
+    return node
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(list(LayerKind)), seed=st.integers(0, 2**32 - 1))
+def test_float_routing_reaches_the_leaf_of_the_array_routing(kind, seed):
+    rng = np.random.default_rng(seed)
+    n = len(layers.feature_names(kind))
+    for _ in range(10):
+        config = random_config(rng, kind)
+        values = layers._row_values(config)[:n]
+        row = np.array(values)
+        for model in (
+            random_tree_model(rng, kind),
+            TimeModel(kind=kind, root=feature_split_tree(rng, kind, values)),
+        ):
+            assert tree._route(model.root, values) is model.route_features(row)
+
+
+def test_float_routing_on_zero_features_and_taus_equal_to_a_feature():
+    config = cnn(24, 24, 3, 3, 8, 16, padding="valid")
+    names = layers.feature_names(LayerKind.CNN)
+    values = layers._row_values(config)[: len(names)]
+    padding, channels = names.index("padding"), names.index("out_channel")
+    assert values[padding] == 0.0
+    for condition in (
+        Condition(padding, 2, MULTIPLE),  # 0 is a multiple of every tau
+        Condition(channels, 16.0, RANGE),  # <= holds at equality
+        Condition(channels, 4, MULTIPLE),
+        Condition(channels, 3, MULTIPLE),
+        Condition(channels, 15.0, RANGE),
+    ):
+        model = TimeModel(kind=LayerKind.CNN,
+                          root=Node(fit=leaf((0.0,) * 3, 0.0).fit, condition=condition,
+                                    left=leaf((0.0,) * 3, 1.0), right=leaf((0.0,) * 3, 2.0)))
+        leaf_reached = tree._route(model.root, values)
+        assert leaf_reached is model.route_features(np.array(values))
+        assert model.predict(config) == (1.0 if bool(condition.holds(np.array(values))) else 2.0)
+
+
+def test_predict_raises_for_a_feature_index_past_the_features():
+    # routing reads only the feature prefix, never an explanatory value
+    config = fc(8, 16)
+    n = len(layers.feature_names(LayerKind.FC))
+    model = TimeModel(kind=LayerKind.FC,
+                      root=Node(fit=leaf((0.0,) * 3, 0.0).fit, condition=Condition(n, 1.0, RANGE),
+                                left=leaf((0.0,) * 3, 1.0), right=leaf((0.0,) * 3, 2.0)))
+    with pytest.raises(IndexError):
+        model.route_features(derive_features(config).as_array())
+    with pytest.raises(IndexError):
+        model.predict(config)
 
 
 def test_tree_shape_validation():
