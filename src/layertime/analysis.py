@@ -19,12 +19,14 @@ from .layers import (
     LayerKind,
     Padding,
     StructureConfig,
+    _integer,
     conv_output_dims,
     explanatory_names,
     feature_names,
+    width_fields,
 )
 from .nnls import NumericError
-from .tree import Condition, ConditionKind, Dataset, LinearFit, TimeModel
+from .tree import Condition, ConditionKind, Dataset, LinearFit, TimeModel, _design
 
 __all__ = [
     "VariableSignificance",
@@ -85,7 +87,7 @@ def coefficient_pvalues(dataset: Dataset) -> SignificanceReport:
         raise ValueError(f"need more than {k + 2} records, got {n}")
     X = dataset.explanatory
     y = dataset.times
-    design = np.hstack([X, np.ones((n, 1))])
+    design = _design(dataset)
 
     rank = np.linalg.matrix_rank(design)
     degenerate = np.zeros(k, dtype=bool)
@@ -105,47 +107,26 @@ def coefficient_pvalues(dataset: Dataset) -> SignificanceReport:
     rss = float(residual @ residual)
     total = float(np.sum((y - y.mean()) ** 2))
 
-    variables: list[VariableSignificance] = []
-    if rss <= 1e-18 * max(total, 1.0):
-        # numerically exact fit: a variable either participates or it does not
+    # a numerically exact fit: a variable either participates or it does not
+    exact = rss <= 1e-18 * max(total, 1.0)
+    if exact:
         y_scale = max(float(np.abs(y).max()), 1e-300)
-        for j, name in enumerate(names):
+    else:
+        covariance = rss / dof * np.linalg.pinv(kept.T @ kept)
+        se = np.zeros(k + 1)
+        se[keep] = np.sqrt(np.maximum(np.diag(covariance), 0.0))
+    variables: list[VariableSignificance] = []
+    for j, name in enumerate(names):
+        if exact:
             contribution = abs(beta[j]) * float(np.abs(X[:, j]).max(initial=0.0))
             active = contribution > 1e-9 * y_scale and not degenerate[j]
-            variables.append(
-                VariableSignificance(
-                    name=name,
-                    coefficient=float(beta[j]),
-                    t_statistic=math.inf if active else 0.0,
-                    p_value=0.0 if active else 1.0,
-                    degenerate=bool(degenerate[j]),
-                )
-            )
-        return SignificanceReport(kind=dataset.kind, variables=tuple(variables))
-
-    sigma2 = rss / dof
-    covariance = sigma2 * np.linalg.pinv(kept.T @ kept)
-    se = np.zeros(k + 1)
-    se[keep] = np.sqrt(np.maximum(np.diag(covariance), 0.0))
-    for j, name in enumerate(names):
-        if degenerate[j] or se[j] == 0.0:
-            variables.append(
-                VariableSignificance(
-                    name=name,
-                    coefficient=float(beta[j]),
-                    t_statistic=0.0,
-                    p_value=1.0,
-                    degenerate=bool(degenerate[j]),
-                )
-            )
-            continue
-        t = float(beta[j] / se[j])
-        p = _t_two_sided_pvalue(t, dof)
-        variables.append(
-            VariableSignificance(
-                name=name, coefficient=float(beta[j]), t_statistic=t, p_value=p
-            )
-        )
+            t, p = (math.inf, 0.0) if active else (0.0, 1.0)
+        elif degenerate[j] or se[j] == 0.0:
+            t, p = 0.0, 1.0
+        else:
+            t = float(beta[j] / se[j])
+            p = _t_two_sided_pvalue(t, dof)
+        variables.append(VariableSignificance(name, float(beta[j]), t, p, bool(degenerate[j])))
     return SignificanceReport(kind=dataset.kind, variables=tuple(variables))
 
 
@@ -292,7 +273,7 @@ def expansion_benefit(
     """
     if delta < 0:
         raise ValueError("delta must be >= 0")
-    if axis not in ("in_channel", "out_channel"):
+    if axis not in width_fields(LayerKind.CNN):
         raise ValueError(f"axis must be in_channel or out_channel, got {axis!r}")
     pt = channel_time_polynomial(leaf_true, setting)
     pf = channel_time_polynomial(leaf_false, setting)
@@ -394,16 +375,16 @@ def verify_region(region: ExpansionRegion, grid: int = 32) -> ExpansionRegion:
 
     The benefit must be strictly negative at every sampled (u, v) point;
     any failure demotes the region to empty.  Unbounded regions are
-    checked out to a fixed practical edge.
+    checked out to a fixed practical edge.  ``grid`` must be an integer >= 1.
     """
+    grid = _integer("grid", grid, 1)
     if region.bound <= 1.0:
         # the square [1, bound]^2 holds no whole-channel points
         return dc_replace(region, bound=0.0, verified=False)
     edge = min(region.bound, _VERIFY_CAP)
     points = np.linspace(1.0, edge, grid, endpoint=False)
     u, v = np.meshgrid(points, points)
-    values = region.contour.a * u * v + region.contour.b * u + region.contour.c * v + region.contour.d
-    if not (values < 0).all():
+    if not (region.contour(u, v) < 0).all():
         return dc_replace(region, bound=0.0, verified=False)
     return dc_replace(region, verified=True)
 
@@ -457,10 +438,11 @@ def simplify_model(
 ) -> SimplifiedTimeModel:
     """Build the snap-then-route predictor from verified regions.
 
-    Regions must carry a multiple condition and pass verification; empty
-    (demoted) regions are ignored.  Two regions disagreeing on the modulus
-    of the same feature are contradictory.
+    Regions must carry a multiple condition on a channel count and pass
+    verification; empty (demoted) regions are ignored.  Two regions
+    disagreeing on the modulus of the same feature are contradictory.
     """
+    names = feature_names(model.kind)
     usable: list[ExpansionRegion] = []
     by_feature: dict[int, int] = {}
     for region in regions:
@@ -472,6 +454,9 @@ def simplify_model(
             raise ValueError("regions must carry a multiple condition")
         tau = int(region.condition.tau)
         j = region.condition.feature_index
+        # only a channel count is a width that snapping rounds without changing the function
+        if j >= len(names) or names[j] not in width_fields(LayerKind.CNN):
+            raise ValueError("regions must split on in_channel or out_channel")
         if j in by_feature and by_feature[j] != tau:
             raise ValueError(
                 f"contradictory regions on feature {j}: moduli {by_feature[j]} and {tau}"

@@ -156,16 +156,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"error: numeric: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:  # every *FormatError is a ValueError
-        print(f"error: data: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
-        # only steering raises EvaluationError, so it is imported here, on
-        # the error path, rather than by every subcommand
-        from .steering import EvaluationError
-
-        if not isinstance(exc, EvaluationError):
-            raise
+    except Exception as exc:  # every *FormatError, OSError, EvaluationError and the rest
         print(f"error: data: {exc}", file=sys.stderr)
         return 2
 
@@ -183,19 +174,24 @@ def _cmd_plan(args) -> int:
     return 0
 
 
-def _load_oracle_arg(spec: str):
-    from .harness import default_oracle, load_oracle
+def _load(path: str, decode):
+    """``decode`` of the bytes of the file at ``path``; a ``ValueError`` names the file."""
+    data = Path(path).read_bytes()  # an OSError names it already
+    try:
+        return decode(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
-    if spec == "default":
-        return default_oracle()
-    return load_oracle(Path(spec).read_bytes())
+
+def _load_config(data: bytes):
+    return config_from_dict(_parse_json(data, ValueError))
 
 
 def _cmd_synth(args) -> int:
-    from .harness import load_plan, write_profile
+    from .harness import default_oracle, load_oracle, load_plan, write_profile
 
     plan = load_plan(args.plan)
-    oracle = _load_oracle_arg(args.oracle)
+    oracle = default_oracle() if args.oracle == "default" else _load(args.oracle, load_oracle)
     write_profile(synth_profile(oracle, plan), args.out)
     print(f"synth: {len(plan)} records -> {args.out}")
     return 0
@@ -253,13 +249,9 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _load_config_file(path: str):
-    return config_from_dict(_parse_json(Path(path).read_bytes(), ValueError, path))
-
-
 def _cmd_predict(args) -> int:
-    models = load_models(Path(args.model).read_bytes())
-    config = _load_config_file(args.config)
+    models = _load(args.model, load_models)
+    config = _load(args.config, _load_config)
     model = models.get(config.kind)
     if model is None:
         print(f"error: data: no model for layer kind {config.kind.value}", file=sys.stderr)
@@ -272,7 +264,7 @@ def _cmd_analyze(args) -> int:
     from .analysis import ConvGeometry, expansion_benefit, safe_region, verify_region
     from .harness import ingest_profile
 
-    models = load_models(Path(args.model).read_bytes())
+    models = _load(args.model, load_models)
     report: dict = {"format_version": FORMAT_VERSION, "significance": {}, "regions": []}
 
     if args.dataset:
@@ -295,7 +287,7 @@ def _cmd_analyze(args) -> int:
             print(f"{kind.value} p-values: {summary}")
 
     if args.config:
-        config = _load_config_file(args.config)
+        config = _load(args.config, _load_config)
         if config.kind is not LayerKind.CNN:
             print("error: data: region analysis needs a CNN config", file=sys.stderr)
             return 2
@@ -310,7 +302,7 @@ def _cmd_analyze(args) -> int:
             if cond is None or cond.kind is not ConditionKind.MULTIPLE:
                 continue
             feature = names[cond.feature_index]
-            if feature not in ("in_channel", "out_channel"):
+            if feature not in width_fields(LayerKind.CNN):
                 continue
             delta = int(cond.tau) - 1
             benefit = expansion_benefit(
@@ -353,8 +345,8 @@ def _trace_to_dict(trace) -> dict:
 def _cmd_expand(args) -> int:
     from .steering import load_network, save_network
 
-    models = load_models(Path(args.model).read_bytes())
-    net = load_network(Path(args.network).read_bytes())
+    models = _load(args.model, load_models)
+    net = _load(args.network, load_network)
     expanded, trace = expand_network(models, net)
     # totals first: a non-finite one is an error before anything is printed
     before = network_time(models, net)
@@ -388,10 +380,10 @@ def _parse_width_grid(spec: str, net) -> list[list[int]]:
 
 
 def _cmd_compress(args) -> int:
-    from .steering import CommandEvaluator, load_network, save_network
+    from .steering import CommandEvaluator, load_network, save_network, time_aware_objective
 
-    models = load_models(Path(args.model).read_bytes())
-    net = load_network(Path(args.network).read_bytes())
+    models = _load(args.model, load_models)
+    net = _load(args.network, load_network)
     if not 0 <= args.lam < math.inf:
         raise _UsageError("--lambda must be finite and >= 0")
     if args.budget < 1:
@@ -417,10 +409,8 @@ def _cmd_compress(args) -> int:
     before = network_time(models, net)
     after = network_time(models, compressed)
     # the search may never have scored the input network
-    objective_before = evaluator(net) + args.lam * before
-    objective_after = evaluator(compressed) + args.lam * after
-    if not (math.isfinite(objective_before) and math.isfinite(objective_after)):
-        raise NumericError(f"objective is non-finite ({objective_before} -> {objective_after})")
+    objective_before = time_aware_objective(evaluator, models, net, args.lam)
+    objective_after = time_aware_objective(evaluator, models, compressed, args.lam)
     print(f"time: {before:.3f} ms -> {after:.3f} ms")
     print(f"objective: {objective_before:.3f} -> {objective_after:.3f}")
     Path(args.out).write_bytes(save_network(compressed))

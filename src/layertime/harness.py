@@ -30,7 +30,6 @@ from .layers import (
     lstm,
 )
 from .tree import (
-    FORMAT_VERSION,
     Condition,
     ConditionKind,
     Dataset,
@@ -40,8 +39,8 @@ from .tree import (
     TimeModel,
     _dump,
     _models_from_dict,
+    _models_to_dict,
     _parse_json,
-    model_to_dict,
 )
 
 __all__ = [
@@ -277,15 +276,7 @@ def default_oracle(noise: float = 0.01, seed: int = 1300) -> SyntheticOracle:
 
 
 def save_oracle(oracle: SyntheticOracle) -> bytes:
-    return _dump({
-        "format_version": FORMAT_VERSION,
-        "noise": oracle.noise,
-        "seed": oracle.seed,
-        "models": [
-            model_to_dict(oracle.models[kind])
-            for kind in sorted(oracle.models, key=lambda k: k.value)
-        ],
-    })
+    return _dump({**_models_to_dict(oracle.models), "noise": oracle.noise, "seed": oracle.seed})
 
 
 def load_oracle(data: bytes | str) -> SyntheticOracle:

@@ -51,10 +51,15 @@ def nnls(A: np.ndarray, y: np.ndarray) -> np.ndarray:
     # unit intercept), which would wreck both the subproblem conditioning
     # and the stopping test.  Positive column scaling preserves the
     # feasible set, so solve the normalized problem and scale back.
-    col_scale = np.abs(A).max(axis=0)
-    col_scale[col_scale == 0.0] = 1.0
+    col_scale = _column_scale(A)
     x = _active_set(A / col_scale, y)
     return x / col_scale
+
+
+def _column_scale(A: np.ndarray) -> np.ndarray:
+    """Each column's largest absolute value, or 1 for an all-zero column."""
+    scale = np.abs(A).max(axis=0)
+    return np.where(scale == 0.0, 1.0, scale)
 
 
 def _active_set(A: np.ndarray, y: np.ndarray) -> np.ndarray:

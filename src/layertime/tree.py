@@ -40,7 +40,7 @@ from .layers import (
 )
 # unused here: bound so that tracers which wrap these names per module find them
 from .layers import derive_explanatory, derive_features  # noqa: F401
-from .nnls import NumericError, nnls
+from .nnls import NumericError, _column_scale, nnls
 
 __all__ = [
     "ConditionKind",
@@ -334,16 +334,25 @@ class TimeModel:
     def predict_rows(self, features: np.ndarray, explanatory: np.ndarray) -> np.ndarray:
         """Vector of predictions for pre-derived feature/explanatory rows.
 
-        Raises :class:`NumericError` when any prediction is not finite.
+        Each row routes as :meth:`predict` routes, on its Python floats.
+        Raises :class:`ValueError` when the row counts differ, and
+        :class:`NumericError` when any prediction is not finite.
         """
-        features = np.atleast_2d(features)
+        features = np.atleast_2d(np.asarray(features, dtype=float))
         explanatory = np.atleast_2d(explanatory)
+        if features.shape[0] != explanatory.shape[0]:
+            raise ValueError("features and explanatory must agree in row count")
         out = np.empty(features.shape[0])
-        for i in range(features.shape[0]):
-            out[i] = self.route_features(features[i]).fit.predict(explanatory[i])
+        for i, row in enumerate(features.tolist()):
+            out[i] = _route(self.root, row).fit.predict(explanatory[i])
         if not np.isfinite(out).all():
             raise NumericError(f"{self.kind.value} model predicts a non-finite time")
         return out
+
+
+def _design(dataset: Dataset) -> np.ndarray:
+    """The dataset's explanatory columns followed by an intercept column of ones."""
+    return np.hstack([dataset.explanatory, np.ones((len(dataset), 1))])
 
 
 def nnls_fit(dataset: Dataset) -> LinearFit:
@@ -351,7 +360,7 @@ def nnls_fit(dataset: Dataset) -> LinearFit:
     n = len(dataset)
     if n == 0:
         raise ValueError("cannot fit an empty dataset")
-    design = np.hstack([dataset.explanatory, np.ones((n, 1))])
+    design = _design(dataset)
     coef = nnls(design, dataset.times)
     residual = design @ coef - dataset.times
     return LinearFit(
@@ -418,12 +427,10 @@ def _weighted_impurity(n_left: int, mse_left: float, n_right: int, mse_right: fl
 
 def impurity(dataset: Dataset, condition: Condition) -> float:
     """Size-weighted mean squared error of the two side fits under a condition."""
-    left, right = partition(dataset, condition)
-    if len(left) == 0 or len(right) == 0:
+    mask = condition.holds(dataset.features)
+    if mask.all() or not mask.any():
         raise ValueError("condition produces a one-sided partition")
-    return _weighted_impurity(
-        len(left), nnls_fit(left).mse, len(right), nnls_fit(right).mse
-    )
+    return _exact_split(dataset, condition, mask).impurity
 
 
 @dataclass(frozen=True, eq=False)
@@ -467,11 +474,8 @@ def _split_sums(dataset: Dataset, masks: np.ndarray) -> tuple[np.ndarray, ...]:
     max-abs scaled as :func:`nnls` scales it.  Rows ``0..C-1`` of each
     result are the candidates' left sides, rows ``C..2C-1`` their right.
     """
-    n = len(dataset)
-    design = np.hstack([dataset.explanatory, np.ones((n, 1))])
-    col_scale = np.abs(design).max(axis=0)
-    col_scale[col_scale == 0.0] = 1.0
-    rows = np.hstack([design / col_scale, dataset.times[:, None]])
+    design = _design(dataset)
+    rows = np.hstack([design / _column_scale(design), dataset.times[:, None]])
     k = design.shape[1]
     upper = np.triu_indices(k + 1)
     products = rows[:, upper[0]] * rows[:, upper[1]]
@@ -481,6 +485,16 @@ def _split_sums(dataset: Dataset, masks: np.ndarray) -> tuple[np.ndarray, ...]:
     augmented[:, upper[0], upper[1]] = sums
     augmented[:, upper[1], upper[0]] = sums
     return augmented[:, :k, :k], augmented[:, :k, k], augmented[:, k, k]
+
+
+def _unit_scaled(gram: np.ndarray, aty: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Non-zero columns, unit-diagonal Grams, scaled ``Aᵀy``, and which unit Grams
+    have their smallest eigenvalue above ``_SINGULAR`` (a zero column's is 0)."""
+    norm = np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
+    nonzero = norm > 0.0
+    norm = np.where(nonzero, norm, 1.0)
+    unit = gram / (norm[:, :, None] * norm[:, None, :])
+    return nonzero, unit, aty / norm, np.linalg.eigvalsh(unit)[:, 0] > _SINGULAR
 
 
 def _batched_nnls_sse(gram: np.ndarray, aty: np.ndarray, yty: np.ndarray) -> np.ndarray:
@@ -496,14 +510,9 @@ def _batched_nnls_sse(gram: np.ndarray, aty: np.ndarray, yty: np.ndarray) -> np.
     ``k · _SINGULAR · yᵀy``.
     """
     k = aty.shape[1]
-    norm = np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
-    nonzero = norm > 0.0
-    norm = np.where(nonzero, norm, 1.0)
-    unit = gram / (norm[:, :, None] * norm[:, None, :])
-    scaled_aty = aty / norm
     # eigenvalues interlace, so a well-conditioned problem has no singular
     # support, and only the others need a check per support
-    robust = np.linalg.eigvalsh(unit)[:, 0] > _SINGULAR
+    nonzero, unit, scaled_aty, robust = _unit_scaled(gram, aty)
     best = yty.copy()
     for size in range(1, k + 1):
         cols = np.array(list(itertools.combinations(range(k), size)))
@@ -553,12 +562,7 @@ def _sse_bounds(
     ``5e-16 · yᵀy``, far below the band's floor of ``1e-9 · yᵀy``.
     """
     k = aty.shape[1]
-    norm = np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
-    norm = np.where(norm > 0.0, norm, 1.0)
-    unit = gram / (norm[:, :, None] * norm[:, None, :])
-    scaled_aty = aty / norm
-    # a zero column leaves a zero row, so its smallest eigenvalue is 0
-    bounded = np.linalg.eigvalsh(unit)[:, 0] > _SINGULAR
+    _, unit, scaled_aty, bounded = _unit_scaled(gram, aty)
     unit[~bounded] = np.eye(k)
     z = np.linalg.solve(unit, scaled_aty[..., None])[..., 0]
     free = z > 0.0
@@ -843,10 +847,15 @@ def load_model(data: bytes | str) -> TimeModel:
 
 def save_models(models: dict[LayerKind, TimeModel]) -> bytes:
     """Serialize a kind-keyed family of models into one document."""
-    return _dump({
+    return _dump(_models_to_dict(models))
+
+
+def _models_to_dict(models: dict[LayerKind, TimeModel]) -> dict:
+    """A versioned document whose ``models`` list holds each model in kind order."""
+    return {
         "format_version": FORMAT_VERSION,
         "models": [model_to_dict(models[kind]) for kind in sorted(models, key=lambda k: k.value)],
-    })
+    }
 
 
 def _models_from_dict(doc) -> dict[LayerKind, TimeModel]:

@@ -1,5 +1,6 @@
 """Significance tests, channel polynomials, safe regions, simplified models."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -32,7 +33,7 @@ from layertime.analysis import (
     simplify_model,
     verify_region,
 )
-from layertime.layers import LayerKind, cnn, derive_explanatory, fc
+from layertime.layers import LayerKind, cnn, derive_explanatory, fc, feature_names
 from layertime.tree import Condition, ConditionKind, Dataset, LinearFit
 
 
@@ -330,6 +331,14 @@ def test_verification_demotes_overclaimed_bound():
     assert verify_region(inflated).is_empty
 
 
+@pytest.mark.parametrize("grid", [0, -1, 1.5, True])
+def test_verification_needs_an_integer_grid_of_at_least_one(grid):
+    # a region whose benefit is negative everywhere, so an empty grid would pass it
+    region = safe_region(ChannelPolynomial(0.0, 0.0, 0.0, -1.0))
+    with pytest.raises(ValueError, match="grid"):
+        verify_region(region, grid=grid)
+
+
 # --- simplified models --------------------------------------------------------
 
 
@@ -378,6 +387,16 @@ def test_never_increases_inside_region(reference_model):
 def test_contradictory_regions_rejected(reference_model):
     with pytest.raises(ValueError):
         simplify_model(reference_model, [make_region(tau=4), make_region(tau=3)])
+
+
+@pytest.mark.parametrize("feature", ["mem_in", "in_height"])
+def test_region_off_the_channel_axes_rejected(reference_model, feature):
+    region = dataclasses.replace(
+        make_region(),
+        condition=Condition(feature_names(LayerKind.CNN).index(feature), 4, ConditionKind.MULTIPLE),
+    )
+    with pytest.raises(ValueError, match="in_channel or out_channel"):
+        simplify_model(reference_model, [region])
 
 
 def test_unverified_region_rejected(reference_model):

@@ -563,7 +563,11 @@ _BAD_UTF8_ARGV = {
     "profile": (["fit", "--dataset", "{bad}", "--out", "{out}"], "profile.jsonl", ":2"),
     "plan": (["synth", "--plan", "{bad}", "--out", "{out}"], "plan.jsonl", ":2"),
     "config": (["predict", "--model", "model.json", "--config", "{bad}"], "layer.json", ""),
-    "model": (["predict", "--model", "{bad}", "--config", "layer.json"], "model.json", None),
+    "model": (["predict", "--model", "{bad}", "--config", "layer.json"], "model.json", ""),
+    "network": (["expand", "--model", "model.json", "--network", "{bad}", "--out", "{out}"],
+                "net.json", ""),
+    "oracle": (["synth", "--plan", "plan.jsonl", "--oracle", "{bad}", "--out", "{out}"],
+               "oracle.json", ""),
 }
 
 
@@ -582,8 +586,7 @@ def test_invalid_utf8_is_a_data_error_at_its_location(stage_dir, tmp_path, monke
     assert main([a.format(bad=bad, out=out_path) for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    where = "" if suffix is None else f"{bad}{suffix}: "
-    assert captured.err.startswith(f"error: data: {where}not valid UTF-8: ")
+    assert captured.err.startswith(f"error: data: {bad}{suffix}: not valid UTF-8: ")
     assert captured.err.count("\n") == 1
     assert not out_path.exists()
 
@@ -756,6 +759,7 @@ def stage_dir(tmp_path_factory):
     write_reference_model(root)
     (root / "layer.json").write_text(json.dumps(config_to_dict(cnn(24, 24, 3, 3, 43, 64))))
     write_network(root, [cnn(24, 24, 3, 3, 43, 64)])
+    (root / "oracle.json").write_bytes(save_oracle(default_oracle()))
     return root
 
 
@@ -767,6 +771,21 @@ _DEEP_JSON_ARGV = {
     "--oracle": ["synth", "--plan", "plan.jsonl", "--oracle", "{deep}", "--out", "{out}"],
     "--plan": ["synth", "--plan", "{deep}", "--out", "{out}"],
 }
+
+
+@pytest.mark.parametrize("error", [KeyError("kind"), TypeError("bad operand"), RecursionError()])
+def test_any_other_exception_is_a_data_error(stage_dir, tmp_path, monkeypatch, capsys, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "fit_tree", fail)
+    monkeypatch.chdir(stage_dir)
+    out_path = tmp_path / "out.json"
+    assert main(["fit", "--dataset", "profile.jsonl", "--out", str(out_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: data: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("flag", list(_DEEP_JSON_ARGV))
@@ -796,7 +815,7 @@ def test_overflowing_number_is_a_data_error(tmp_path, capsys, loader):
         oracle = save_oracle(default_oracle()).decode("utf-8")
         bad.write_text(oracle.replace('"seed": 1300', '"seed": 1e400'))
         argv = ["synth", "--plan", str(plan_path), "--oracle", str(bad), "--out", str(out)]
-        prefix = "error: data: malformed oracle document: seed"
+        prefix = f"error: data: {bad}: malformed oracle document: seed"
     elif loader == "profile reps":
         bad.write_text(record % '"time_ms": 1.0, "reps": 1e400')
         argv = ["fit", "--dataset", str(bad), "--out", str(out)]

@@ -516,6 +516,15 @@ def test_non_finite_prediction_is_a_numeric_error():
         model.predict_rows(features, explanatory)
 
 
+@pytest.mark.parametrize("n_features, n_explanatory", [(3, 5), (5, 3)])
+def test_predict_rows_rejects_unequal_row_counts(reference_model, n_features, n_explanatory):
+    configs = [cnn(24, 24, 3, 3, c, 64) for c in range(40, 45)]
+    features = np.stack([derive_features(c).as_array() for c in configs])
+    explanatory = np.stack([derive_explanatory(c).as_array() for c in configs])
+    with pytest.raises(ValueError, match="row count"):
+        reference_model.predict_rows(features[:n_features], explanatory[:n_explanatory])
+
+
 def test_prediction_positive_when_fit_contributes():
     rng = np.random.default_rng(6)
     for _ in range(50):
