@@ -19,7 +19,10 @@ from .layers import (
     LayerKind,
     Padding,
     StructureConfig,
+    _derived,
     _integer,
+    _with_widths,
+    cnn,
     conv_output_dims,
     explanatory_names,
     feature_names,
@@ -238,21 +241,23 @@ class ChannelPolynomial:
 def channel_time_polynomial(fit: LinearFit, setting: ConvGeometry) -> ChannelPolynomial:
     """Expand a leaf fit into a polynomial in the two channel counts.
 
-    Substitutes the convolutional feature formulas, with the geometry
-    fixed, into ``w . x + b``.
+    Substitutes the convolutional sizes, with the geometry fixed, into
+    ``w . x + b``.  Every CNN size is bilinear in the channels, so the
+    sizes of the one-channel layer are the polynomial's coefficients.
     """
-    out_h, out_w = setting.output_dims()
-    kernel = setting.kernel_height * setting.kernel_width
+    mem_in, mem_out, mem_inter, param_size, flops = _derived(cnn(
+        setting.in_height, setting.in_width, setting.kernel_height, setting.kernel_width,
+        1, 1, setting.stride, setting.padding,
+    ))
     w = np.asarray(fit.w, dtype=float)
     if w.shape != (3,):
         raise ValueError("convolutional fits have exactly three weights")
-    flops_uv = 2.0 * out_h * out_w * kernel
-    mem_u = setting.in_height * setting.in_width + out_h * out_w * kernel
-    mem_v = out_h * out_w
+    # at u = v = 1: flops and param_size - 1 (the kernel taps) are the u*v
+    # coefficients, mem_in + mem_inter the u one and mem_out the v one
     return ChannelPolynomial(
-        a=w[0] * flops_uv + w[2] * kernel,
-        b=w[1] * mem_u,
-        c=w[1] * mem_v,
+        a=w[0] * flops + w[2] * (param_size - 1),
+        b=w[1] * (mem_in + mem_inter),
+        c=w[1] * mem_out,
         d=fit.b + w[2],
     )
 
@@ -271,8 +276,7 @@ def expansion_benefit(
     leaf prices the layer as it stands.  Negative values mean the
     expansion speeds the layer up.
     """
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
+    delta = _integer("delta", delta, 0)
     if axis not in width_fields(LayerKind.CNN):
         raise ValueError(f"axis must be in_channel or out_channel, got {axis!r}")
     pt = channel_time_polynomial(leaf_true, setting)
@@ -423,7 +427,7 @@ class SimplifiedTimeModel:
             updates[field] = tau * -(-value // tau)
         if not updates:
             return None
-        return dc_replace(config, **updates)
+        return _with_widths(config, **updates)
 
     def predict(self, config: StructureConfig) -> float:
         baseline = self.base.predict(config)

@@ -139,26 +139,25 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: usage: {exc}", file=sys.stderr)
-        return 1
-    if getattr(args, "func", None) is None:
-        print("error: usage: a subcommand is required (see --help)", file=sys.stderr)
-        return 1
-    try:
+        if getattr(args, "func", None) is None:
+            raise _UsageError("a subcommand is required (see --help)")
         # a non-finite result is reported once, as a NumericError, not also
         # as numpy's overflow warning
         with np.errstate(all="ignore"):
             return args.func(args)
     except _UsageError as exc:
-        print(f"error: usage: {exc}", file=sys.stderr)
-        return 1
+        return _fail("usage", exc, 1)
     except NumericError as exc:
-        print(f"error: numeric: {exc}", file=sys.stderr)
-        return 3
+        return _fail("numeric", exc, 3)
     except Exception as exc:  # every *FormatError, OSError, EvaluationError and the rest
-        print(f"error: data: {exc}", file=sys.stderr)
-        return 2
+        return _fail("data", exc, 2)
+
+
+def _fail(kind: str, exc: Exception, code: int) -> int:
+    """Print ``exc`` as one ``error: {kind}: …`` line, its own line breaks joined by `` | ``."""
+    message = " | ".join(str(exc).splitlines())
+    print(f"error: {kind}: {message}", file=sys.stderr)
+    return code
 
 
 def _cmd_plan(args) -> int:
@@ -219,8 +218,7 @@ def _cmd_fit(args) -> int:
         raise _UsageError(f"bad fit parameter: {exc}") from exc
     data = ingest_profile(args.dataset)
     if not data:
-        print("error: data: profile contains no records", file=sys.stderr)
-        return 2
+        raise ValueError("profile contains no records")
     rng = np.random.default_rng(args.seed)
     models = {}
     for kind in sorted(data, key=lambda k: k.value):
@@ -254,8 +252,7 @@ def _cmd_predict(args) -> int:
     config = _load(args.config, _load_config)
     model = models.get(config.kind)
     if model is None:
-        print(f"error: data: no model for layer kind {config.kind.value}", file=sys.stderr)
-        return 2
+        raise ValueError(f"no model for layer kind {config.kind.value}")
     print(f"{model.predict(config):.3f} ms")
     return 0
 
@@ -265,6 +262,7 @@ def _cmd_analyze(args) -> int:
     from .harness import ingest_profile
 
     models = _load(args.model, load_models)
+    # JSON has no infinity: an exact fit's infinite t and an unbounded region's bound are null
     report: dict = {"format_version": FORMAT_VERSION, "significance": {}, "regions": []}
 
     if args.dataset:
@@ -275,7 +273,7 @@ def _cmd_analyze(args) -> int:
                 {
                     "variable": v.name,
                     "coefficient": v.coefficient,
-                    "t_statistic": v.t_statistic,
+                    "t_statistic": None if math.isinf(v.t_statistic) else v.t_statistic,
                     "p_value": v.p_value,
                     "degenerate": v.degenerate,
                 }
@@ -289,12 +287,10 @@ def _cmd_analyze(args) -> int:
     if args.config:
         config = _load(args.config, _load_config)
         if config.kind is not LayerKind.CNN:
-            print("error: data: region analysis needs a CNN config", file=sys.stderr)
-            return 2
+            raise ValueError("region analysis needs a CNN config")
         model = models.get(LayerKind.CNN)
         if model is None:
-            print("error: data: no CNN model in the model file", file=sys.stderr)
-            return 2
+            raise ValueError("no CNN model in the model file")
         setting = ConvGeometry.from_config(config)
         names = feature_names(LayerKind.CNN)
         for node_id, node in model.nodes():
@@ -308,6 +304,9 @@ def _cmd_analyze(args) -> int:
             benefit = expansion_benefit(
                 node.left.fit, node.right.fit, setting, delta, axis=feature
             )
+            polynomial = asdict(benefit)
+            if not all(map(math.isfinite, polynomial.values())):
+                raise NumericError(f"node {node_id} has a non-finite expansion benefit")
             region = verify_region(
                 safe_region(benefit, condition=cond, setting=setting, delta=delta)
             )
@@ -317,8 +316,8 @@ def _cmd_analyze(args) -> int:
                     "feature": feature,
                     "tau": int(cond.tau),
                     "delta": delta,
-                    "polynomial": asdict(benefit),
-                    "bound": region.bound,
+                    "polynomial": polynomial,
+                    "bound": None if math.isinf(region.bound) else region.bound,
                     "verified": region.verified,
                 }
             )
@@ -365,6 +364,8 @@ def _cmd_expand(args) -> int:
 
 
 def _parse_width_grid(spec: str, net) -> list[list[int]]:
+    from .steering import _current_widths
+
     try:
         fractions = [float(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError as exc:
@@ -372,11 +373,7 @@ def _parse_width_grid(spec: str, net) -> list[list[int]]:
     # written so that NaN fails it too
     if not fractions or any(not 0 < f <= 1 for f in fractions):
         raise _UsageError("--width-grid needs fractions in (0, 1]")
-    grids = []
-    for layer in net.layers:
-        width = getattr(layer, width_fields(layer.kind)[1])
-        grids.append(sorted({max(1, round(width * f)) for f in fractions}))
-    return grids
+    return [sorted({max(1, round(w * f)) for f in fractions}) for w in _current_widths(net)]
 
 
 def _cmd_compress(args) -> int:

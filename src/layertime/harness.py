@@ -147,7 +147,7 @@ def generate_plan(
     if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}; known: {', '.join(sorted(SCOPES))}")
     n_networks = _integer("n_networks", n_networks, 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer("seed", seed, 0))
     ranges = SCOPES[scope]
     plan: list[StructureConfig] = []
     for _ in range(n_networks):

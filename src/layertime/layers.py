@@ -81,28 +81,7 @@ _FIELDS_BY_KIND = {
     LayerKind.LSTM: ("in_dim", "out_dim", "step"),
 }
 
-_ALL_FIELDS = (
-    "in_dim",
-    "out_dim",
-    "in_height",
-    "in_width",
-    "kernel_height",
-    "kernel_width",
-    "in_channel",
-    "out_channel",
-    "padding",
-    "stride",
-    "step",
-)
-
 _MEMORY_FEATURES = ("mem_in", "mem_out", "mem_inter", "param_size")
-
-# Per kind, every field in ``_ALL_FIELDS`` order with whether the kind
-# requires it: validation walks this plan instead of testing membership.
-_CHECK_PLAN = {
-    kind: tuple((name, name in required) for name in _ALL_FIELDS)
-    for kind, required in _FIELDS_BY_KIND.items()
-}
 
 
 def _integer(name: str, value, least: int | None = None) -> int:
@@ -189,6 +168,17 @@ class StructureConfig:
                 )
 
 
+# Every structural field, in the order ``StructureConfig`` declares it.
+_ALL_FIELDS = StructureConfig.__slots__[1:]
+
+# Per kind, every field in ``_ALL_FIELDS`` order with whether the kind
+# requires it: validation walks this plan instead of testing membership.
+_CHECK_PLAN = {
+    kind: tuple((name, name in required) for name in _ALL_FIELDS)
+    for kind, required in _FIELDS_BY_KIND.items()
+}
+
+
 def fc(in_dim: int, out_dim: int) -> StructureConfig:
     return StructureConfig(kind=LayerKind.FC, in_dim=in_dim, out_dim=out_dim)
 
@@ -236,21 +226,13 @@ def conv_output_dims(
 
     ``same`` padding gives ``ceil(extent / stride)`` per axis; ``valid``
     slides the kernel fully inside the input, giving
-    ``floor((extent - kernel) / stride) + 1``.
+    ``floor((extent - kernel) / stride) + 1``.  The arguments are checked
+    as a CNN layer's are.
     """
-    pad = Padding(padding) if isinstance(padding, str) else padding
-    for name, value in (
-        ("in_height", in_height),
-        ("in_width", in_width),
-        ("kernel_height", kernel_height),
-        ("kernel_width", kernel_width),
-        ("stride", stride),
-    ):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
-    if pad is Padding.VALID and (kernel_height > in_height or kernel_width > in_width):
-        raise ValueError("valid padding with kernel larger than the input has no output")
-    return _conv_dims(in_height, in_width, kernel_height, kernel_width, stride, pad)
+    c = cnn(in_height, in_width, kernel_height, kernel_width, 1, 1, stride, padding)
+    return _conv_dims(
+        c.in_height, c.in_width, c.kernel_height, c.kernel_width, c.stride, c.padding
+    )
 
 
 def _conv_dims(

@@ -222,6 +222,54 @@ def test_polynomial_under_other_geometry():
         assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-9)
 
 
+def closed_form_polynomial(fit, setting):
+    """The channel polynomial as the analysis once wrote it out from the geometry."""
+    out_h, out_w = setting.output_dims()
+    kernel = setting.kernel_height * setting.kernel_width
+    w = np.asarray(fit.w, dtype=float)
+    flops_uv = 2.0 * out_h * out_w * kernel
+    mem_u = setting.in_height * setting.in_width + out_h * out_w * kernel
+    mem_v = out_h * out_w
+    return ChannelPolynomial(
+        a=w[0] * flops_uv + w[2] * kernel, b=w[1] * mem_u, c=w[1] * mem_v, d=fit.b + w[2]
+    )
+
+
+@st.composite
+def conv_geometries(draw):
+    padding = draw(st.sampled_from(["valid", "same"]))
+    in_h, in_w = draw(st.integers(1, 4096)), draw(st.integers(1, 4096))
+    top_h, top_w = (in_h, in_w) if padding == "valid" else (64, 64)
+    return ConvGeometry(
+        in_h, in_w, draw(st.integers(1, min(top_h, 64))), draw(st.integers(1, min(top_w, 64))),
+        draw(st.sampled_from([1, 2])), padding,
+    )
+
+
+weights = st.floats(0.0, 1e6, allow_subnormal=True)
+
+
+@settings(max_examples=300)
+@given(setting=conv_geometries(), w=st.tuples(weights, weights, weights), b=weights)
+def test_polynomial_is_the_closed_form_bit_for_bit(setting, w, b):
+    fit = LinearFit(w=np.asarray(w), b=b, n=0, mape=0.0, mse=0.0)
+    got = channel_time_polynomial(fit, setting)
+    want = closed_form_polynomial(fit, setting)
+    for name in "abcd":
+        got_bits, want_bits = (np.float64(getattr(p, name)).tobytes() for p in (got, want))
+        assert got_bits == want_bits
+
+
+@pytest.mark.parametrize(
+    "call",
+    [ConvGeometry.output_dims, lambda setting: channel_time_polynomial(true_fit(), setting)],
+    ids=["output_dims", "channel_time_polynomial"],
+)
+def test_geometry_with_a_stride_no_layer_has_is_rejected(call):
+    with pytest.raises(ValueError, match="stride must be 1 or 2, got 3"):
+        call(ConvGeometry(24, 24, 3, 3, 3, "same"))
+
+
 # --- expansion benefit -------------------------------------------------------
 
 
@@ -263,9 +311,10 @@ def test_out_channel_axis_swaps_roles():
         assert benefit(u, v) == pytest.approx(yt(u, v + 3) - yf(u, v), rel=1e-12)
 
 
-def test_negative_delta_rejected():
+@pytest.mark.parametrize("delta", [-1, 1.5, True, np.float64(2.0)])
+def test_negative_delta_rejected(delta):
     with pytest.raises(ValueError):
-        expansion_benefit(true_fit(), false_fit(), REFERENCE_GEOMETRY, delta=-1)
+        expansion_benefit(true_fit(), false_fit(), REFERENCE_GEOMETRY, delta=delta)
 
 
 # --- safe regions ------------------------------------------------------------

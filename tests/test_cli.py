@@ -13,6 +13,7 @@ from layertime import cli
 from layertime.cli import _parse_width_grid, main
 from layertime.harness import (
     ProfileFormatError,
+    SyntheticOracle,
     default_oracle,
     generate_plan,
     load_oracle,
@@ -43,6 +44,20 @@ def write_reference_model(tmp_path):
 def write_network(tmp_path, layers, name="net.json"):
     path = tmp_path / name
     path.write_bytes(save_network(NetworkSpec(tuple(layers))))
+    return path
+
+
+def _write_fc_only_model(tmp_path):
+    path = tmp_path / "fc-model.json"
+    path.write_bytes(
+        save_models({LayerKind.FC: TimeModel(kind=LayerKind.FC, root=leaf((1.0, 0.0, 0.0), 1.0))})
+    )
+    return path
+
+
+def _write_config(tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config_to_dict(config)))
     return path
 
 
@@ -217,6 +232,44 @@ def test_analyze_report(tmp_path, capsys):
     assert 0.7 * 1288 <= region["bound"] <= 1.4 * 1288
     out = capsys.readouterr().out
     assert "p-values" in out and "region:" in out
+
+
+def test_analyze_writes_infinite_values_as_null(tmp_path, capsys):
+    # a profile that one linear law fits exactly has infinite t statistics,
+    # and the oracle's out_channel region is unbounded at this geometry
+    plan = [c for c in generate_plan(n_networks=30, seed=2) if c.kind is LayerKind.CNN]
+    exact = SyntheticOracle({LayerKind.CNN: TimeModel(LayerKind.CNN, leaf((1e-6, 1e-5, 0.0), 1.0))})
+    profile = tmp_path / "profile.jsonl"
+    write_profile(synth_profile(exact, plan), profile)
+    model_path = tmp_path / "model.json"
+    model_path.write_bytes(save_models(dict(default_oracle().models)))
+    report_path = tmp_path / "report.json"
+    assert main([
+        "analyze", "--model", str(model_path), "--dataset", str(profile),
+        "--config", str(_write_config(tmp_path, cnn(24, 24, 3, 3, 43, 64))),
+        "--out", str(report_path),
+    ]) == 0
+    text = report_path.read_text()
+    assert "Infinity" not in text and "NaN" not in text
+    report = json.loads(text)
+    assert [v["t_statistic"] for v in report["significance"]["CNN"]] == [None, None, 0.0]
+    assert [r["bound"] for r in report["regions"]][1:] == [None]
+    assert "bound inf" in capsys.readouterr().out
+
+
+def test_non_finite_expansion_benefit_exits_three_and_writes_nothing(tmp_path, capsys):
+    model = two_leaf_channel_model()
+    model.root.left = leaf((1.5e308, 0.0, 0.0), 0.0)  # finite, but its flops term overflows
+    model_path = tmp_path / "model.json"
+    model_path.write_bytes(save_models({LayerKind.CNN: model}))
+    report_path = tmp_path / "report.json"
+    assert main([
+        "analyze", "--model", str(model_path),
+        "--config", str(_write_config(tmp_path, cnn(24, 24, 3, 3, 43, 64))),
+        "--out", str(report_path),
+    ]) == 3
+    assert capsys.readouterr().err == "error: numeric: node 0 has a non-finite expansion benefit\n"
+    assert not report_path.exists()
 
 
 def test_usage_errors_exit_one(capsys):
@@ -689,6 +742,66 @@ def test_predict_kind_without_model_is_data_error(tmp_path, capsys):
     config_path.write_text(json.dumps(config_to_dict(fc(2, 1))))
     assert main(["predict", "--model", str(model_path), "--config", str(config_path)]) == 2
     assert "no model" in capsys.readouterr().err
+
+
+_SUBCOMMAND_DATA_ERRORS = {
+    "empty profile": (
+        lambda tmp: ["fit", "--dataset", os.devnull, "--out", str(tmp / "out.json")],
+        "profile contains no records",
+    ),
+    "no model for the kind": (
+        lambda tmp: ["predict", "--model", str(write_reference_model(tmp)),
+                     "--config", str(_write_config(tmp, fc(2, 1)))],
+        "no model for layer kind FC",
+    ),
+    "region config not CNN": (
+        lambda tmp: ["analyze", "--model", str(write_reference_model(tmp)),
+                     "--config", str(_write_config(tmp, fc(2, 1))),
+                     "--out", str(tmp / "out.json")],
+        "region analysis needs a CNN config",
+    ),
+    "no CNN model": (
+        lambda tmp: ["analyze", "--model", str(_write_fc_only_model(tmp)),
+                     "--config", str(_write_config(tmp, cnn(24, 24, 3, 3, 8, 8))),
+                     "--out", str(tmp / "out.json")],
+        "no CNN model in the model file",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_SUBCOMMAND_DATA_ERRORS))
+def test_subcommand_data_errors_print_through_main(tmp_path, capsys, case):
+    argv, message = _SUBCOMMAND_DATA_ERRORS[case]
+    assert main(argv(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: data: {message}\n"
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_multi_line_evaluator_stderr_is_one_error_line(tmp_path, capsys):
+    script = tmp_path / "ev.py"
+    script.write_text("import sys\nsys.stderr.write('first line\\nsecond line')\nsys.exit(1)\n")
+    argv = [
+        "compress", "--model", str(write_reference_model(tmp_path)),
+        "--network", str(write_network(tmp_path, [cnn(24, 24, 3, 3, 8, 64)])),
+        "--evaluator-cmd", f"{sys.executable} {script}", "--out", str(tmp_path / "c.json"),
+    ]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: data: evaluator exited with status 1: first line | second line\n"
+    )
+
+
+def test_path_with_a_line_break_is_one_error_line(tmp_path, capsys):
+    model_path = tmp_path / "bad\nmodel.json"
+    model_path.write_text("{}")
+    argv = ["predict", "--model", str(model_path),
+            "--config", str(_write_config(tmp_path, cnn(24, 24, 3, 3, 8, 8)))]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: data: {tmp_path}/bad | model.json: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_outputs_reproducible_under_fixed_seed(tmp_path):

@@ -64,6 +64,12 @@ def test_zero_networks_is_an_error():
         generate_plan(n_networks=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, np.float64(2.0), "1"])
+def test_seed_that_is_not_a_non_negative_integer_is_an_error(seed):
+    with pytest.raises(ValueError, match="seed must be"):
+        generate_plan(n_networks=1, seed=seed)
+
+
 def test_unknown_scope_is_an_error():
     with pytest.raises(ValueError, match="unknown scope"):
         generate_plan(scope="galaxy")

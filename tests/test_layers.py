@@ -114,6 +114,21 @@ def test_valid_padding_rejects_oversized_kernel():
         conv_output_dims(4, 4, 5, 5, 1, "valid")
 
 
+@pytest.mark.parametrize(
+    "args",
+    [(True, 24, 3, 3, 1, "same"), (24.0, 24, 3, 3, 1, "same"),
+     (24, 24, 3, 3, 3, "same"), (24, 24, 3, 3, 1.5, "same"), (4, 4, 5, 5, 1, "valid")],
+    ids=["bool extent", "float extent", "stride 3", "float stride", "oversized valid kernel"],
+)
+def test_output_dims_check_their_arguments_as_a_cnn_layer(args):
+    in_h, in_w, k_h, k_w, stride, padding = args
+    with pytest.raises(ValueError) as layer_error:
+        cnn(in_h, in_w, k_h, k_w, 1, 1, stride, padding)
+    with pytest.raises(ValueError) as dims_error:
+        conv_output_dims(*args)
+    assert str(dims_error.value) == str(layer_error.value)
+
+
 @given(
     in_h=st.integers(1, 300), in_w=st.integers(1, 300),
     k=st.sampled_from([(2, 2), (3, 3), (5, 5), (2, 3)]),
