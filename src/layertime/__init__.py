@@ -5,51 +5,50 @@ profiles, analyzes them, and uses them to expand structures to
 execution-time local minima and to steer width compression toward
 minimum predicted latency.
 
-``import layertime`` loads only the core every command needs (``layers``,
-``nnls`` and ``tree``).  The names re-exported from ``harness``,
-``steering`` and ``analysis`` import their module on first access.
+``import layertime`` loads no submodule, and so not numpy either.  Each
+re-exported name imports its module on first access.
 """
 
+import sys as _sys
 from importlib import import_module as _import_module
-
-from .layers import (
-    ExplanatoryVector,
-    FeatureVector,
-    LayerKind,
-    Padding,
-    StructureConfig,
-    cnn,
-    config_from_dict,
-    config_to_dict,
-    conv_output_dims,
-    derive_explanatory,
-    derive_features,
-    fc,
-    gru,
-    lstm,
-)
-from .nnls import NumericError, nnls
-from .tree import (
-    Condition,
-    ConditionKind,
-    Dataset,
-    FitParams,
-    LinearFit,
-    TimeModel,
-    enumerate_conditions,
-    fit_tree,
-    impurity,
-    load_model,
-    load_models,
-    nnls_fit,
-    partition,
-    save_model,
-    save_models,
-)
 
 __version__ = "0.1.0"
 
 _LAZY_EXPORTS = {
+    "layers": (
+        "ExplanatoryVector",
+        "FeatureVector",
+        "LayerKind",
+        "Padding",
+        "StructureConfig",
+        "cnn",
+        "config_from_dict",
+        "config_to_dict",
+        "conv_output_dims",
+        "derive_explanatory",
+        "derive_features",
+        "fc",
+        "gru",
+        "lstm",
+    ),
+    "nnls": ("NumericError", "nnls"),
+    "tree": (
+        "Condition",
+        "ConditionKind",
+        "Dataset",
+        "FitParams",
+        "LinearFit",
+        "TimeModel",
+        "enumerate_conditions",
+        "fit_tree",
+        "impurity",
+        "load_model",
+        "load_models",
+        "nnls_fit",
+        "partition",
+        "save_model",
+        "save_models",
+    ),
     "analysis": (
         "ChannelPolynomial",
         "ConvGeometry",
@@ -92,40 +91,7 @@ _LAZY_EXPORTS = {
 }
 _LAZY = {name: module for module, names in _LAZY_EXPORTS.items() for name in names}
 
-__all__ = [
-    "ExplanatoryVector",
-    "FeatureVector",
-    "LayerKind",
-    "Padding",
-    "StructureConfig",
-    "cnn",
-    "config_from_dict",
-    "config_to_dict",
-    "conv_output_dims",
-    "derive_explanatory",
-    "derive_features",
-    "fc",
-    "gru",
-    "lstm",
-    "NumericError",
-    "nnls",
-    "Condition",
-    "ConditionKind",
-    "Dataset",
-    "FitParams",
-    "LinearFit",
-    "TimeModel",
-    "enumerate_conditions",
-    "fit_tree",
-    "impurity",
-    "load_model",
-    "load_models",
-    "nnls_fit",
-    "partition",
-    "save_model",
-    "save_models",
-    *_LAZY,
-]
+__all__ = [*_LAZY]
 
 
 def __getattr__(name: str):
@@ -140,3 +106,20 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *_LAZY_EXPORTS, *_LAZY})
+
+
+class _Package(type(_sys)):
+    """The package module, whose ``nnls`` is the solver, not the submodule of that name."""
+
+    @property
+    def nnls(self):
+        return _import_module(".nnls", __name__).nnls
+
+    @nnls.setter
+    def nnls(self, value):
+        # the import system binds the submodule here when it first loads it;
+        # the package keeps serving the function
+        pass
+
+
+_sys.modules[__name__].__class__ = _Package

@@ -254,10 +254,16 @@ def channel_time_polynomial(fit: LinearFit, setting: ConvGeometry) -> ChannelPol
         raise ValueError("convolutional fits have exactly three weights")
     # at u = v = 1: flops and param_size - 1 (the kernel taps) are the u*v
     # coefficients, mem_in + mem_inter the u one and mem_out the v one
+    try:
+        uv_flops, uv_taps, u_mem, v_mem = (
+            float(flops), float(param_size - 1), float(mem_in + mem_inter), float(mem_out)
+        )
+    except OverflowError:
+        raise ValueError("CNN config has a size too large for a float") from None
     return ChannelPolynomial(
-        a=w[0] * flops + w[2] * (param_size - 1),
-        b=w[1] * (mem_in + mem_inter),
-        c=w[1] * mem_out,
+        a=w[0] * uv_flops + w[2] * uv_taps,
+        b=w[1] * u_mem,
+        c=w[1] * v_mem,
         d=fit.b + w[2],
     )
 

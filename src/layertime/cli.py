@@ -3,6 +3,10 @@
 All subcommands are deterministic under fixed seeds and write their primary
 outputs to explicit paths.  Exit codes: 0 success, 1 usage error, 2 data
 error, 3 numeric failure.
+
+The module imports only the standard library: numpy and the model core load
+once argparse has accepted a subcommand, so ``--help`` and arguments that do
+not parse never pay for them.
 """
 
 from __future__ import annotations
@@ -10,25 +14,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict
 from importlib import import_module
 from pathlib import Path
-
-import numpy as np
-
-from .layers import LayerKind, config_from_dict, config_to_dict, feature_names, width_fields
-from .nnls import NumericError
-from .tree import (
-    FORMAT_VERSION,
-    ConditionKind,
-    Dataset,
-    FitParams,
-    _dump,
-    _parse_json,
-    fit_tree,
-    load_models,
-    save_models,
-)
 
 __all__ = ["main"]
 
@@ -50,6 +37,7 @@ def _deferred(module: str, name: str):
     return call
 
 
+fit_tree = _deferred("tree", "fit_tree")
 generate_plan = _deferred("harness", "generate_plan")
 synth_profile = _deferred("harness", "synth_profile")
 coefficient_pvalues = _deferred("analysis", "coefficient_pvalues")
@@ -93,9 +81,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--min-leaf", type=int, default=FitParams.min_leaf)
-    p.add_argument("--mape-stop", type=float, default=FitParams.mape_stop)
-    p.add_argument("--max-depth", type=int, default=FitParams.max_depth)
+    # omitted (None): the FitParams default
+    p.add_argument("--min-leaf", type=int)
+    p.add_argument("--mape-stop", type=float)
+    p.add_argument("--max-depth", type=int)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("predict", help="predict one layer's execution time")
@@ -141,6 +130,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "func", None) is None:
             raise _UsageError("a subcommand is required (see --help)")
+    except _UsageError as exc:
+        return _fail("usage", exc, 1)
+    # only a subcommand that will run pays for numpy and the model core
+    import numpy as np
+
+    from .nnls import NumericError
+
+    try:
         # a non-finite result is reported once, as a NumericError, not also
         # as numpy's overflow warning
         with np.errstate(all="ignore"):
@@ -161,8 +158,10 @@ def _fail(kind: str, exc: Exception, code: int) -> int:
 
 
 def _cmd_plan(args) -> int:
-    from .harness import save_plan
+    from .harness import SCOPES, save_plan
 
+    if args.scope not in SCOPES:
+        raise _UsageError(f"unknown scope {args.scope!r}; known: {', '.join(sorted(SCOPES))}")
     if args.networks < 1:
         raise _UsageError("--networks must be >= 1")
     if args.seed < 0:
@@ -183,6 +182,9 @@ def _load(path: str, decode):
 
 
 def _load_config(data: bytes):
+    from .layers import config_from_dict
+    from .tree import _parse_json
+
     return config_from_dict(_parse_json(data, ValueError))
 
 
@@ -197,6 +199,8 @@ def _cmd_synth(args) -> int:
 
 
 def _split_dataset(dataset: Dataset, rng: np.random.Generator) -> tuple[Dataset, Dataset]:
+    import numpy as np
+
     n = len(dataset)
     order = rng.permutation(n)
     n_test = n // 4
@@ -206,14 +210,16 @@ def _split_dataset(dataset: Dataset, rng: np.random.Generator) -> tuple[Dataset,
 
 
 def _cmd_fit(args) -> int:
+    import numpy as np
+
     from .harness import ingest_profile
+    from .tree import FitParams, save_models
 
     if args.seed < 0:
         raise _UsageError("--seed must be >= 0")
+    given = {"mape_stop": args.mape_stop, "min_leaf": args.min_leaf, "max_depth": args.max_depth}
     try:
-        params = FitParams(
-            mape_stop=args.mape_stop, min_leaf=args.min_leaf, max_depth=args.max_depth
-        )
+        params = FitParams(**{name: v for name, v in given.items() if v is not None})
     except ValueError as exc:
         raise _UsageError(f"bad fit parameter: {exc}") from exc
     data = ingest_profile(args.dataset)
@@ -248,6 +254,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    from .tree import load_models
+
     models = _load(args.model, load_models)
     config = _load(args.config, _load_config)
     model = models.get(config.kind)
@@ -258,8 +266,13 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from dataclasses import asdict
+
     from .analysis import ConvGeometry, expansion_benefit, safe_region, verify_region
     from .harness import ingest_profile
+    from .layers import LayerKind, feature_names, width_fields
+    from .nnls import NumericError
+    from .tree import FORMAT_VERSION, ConditionKind, _dump, load_models
 
     models = _load(args.model, load_models)
     # JSON has no infinity: an exact fit's infinite t and an unbounded region's bound are null
@@ -333,6 +346,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _trace_to_dict(trace) -> dict:
+    from dataclasses import asdict
+
+    from .layers import config_to_dict
+
     doc = asdict(trace)
     # the layer configs hold enums, so they take their canonical flat encoding
     for entry, layer in zip(doc["entries"], trace.entries):
@@ -343,6 +360,7 @@ def _trace_to_dict(trace) -> dict:
 
 def _cmd_expand(args) -> int:
     from .steering import load_network, save_network
+    from .tree import _dump, load_models
 
     models = _load(args.model, load_models)
     net = _load(args.network, load_network)
@@ -378,6 +396,7 @@ def _parse_width_grid(spec: str, net) -> list[list[int]]:
 
 def _cmd_compress(args) -> int:
     from .steering import CommandEvaluator, load_network, save_network, time_aware_objective
+    from .tree import load_models
 
     models = _load(args.model, load_models)
     net = _load(args.network, load_network)
@@ -385,9 +404,14 @@ def _cmd_compress(args) -> int:
         raise _UsageError("--lambda must be finite and >= 0")
     if args.budget < 1:
         raise _UsageError("--budget must be >= 1")
-    evaluate = (
-        CommandEvaluator(args.evaluator_cmd) if args.evaluator_cmd else (lambda _: 0.0)
-    )
+    try:
+        evaluate = (
+            CommandEvaluator(args.evaluator_cmd)
+            if args.evaluator_cmd is not None
+            else (lambda _: 0.0)
+        )
+    except ValueError as exc:  # an empty or unbalanced command
+        raise _UsageError(f"bad --evaluator-cmd: {exc}") from exc
     # the objective printed below reuses the losses the search already paid for
     losses: dict = {}
 

@@ -97,8 +97,12 @@ _MIN_COMPONENTS = 8
 _MAX_COMPONENTS = 14
 
 
+_KINDS = tuple(LayerKind)
+
+
 def _draw_config(rng: np.random.Generator, scope: dict) -> StructureConfig:
-    kind = LayerKind(rng.choice([k.value for k in LayerKind]))
+    # the one draw ``rng.choice`` makes over the kinds, without building an array
+    kind = _KINDS[int(rng.integers(0, len(_KINDS)))]
     if kind is LayerKind.FC:
         lo, hi = scope["fc_dim"]
         return fc(int(rng.integers(lo, hi + 1)), int(rng.integers(lo, hi + 1)))
@@ -210,7 +214,14 @@ def _config_rng(seed: int, config: StructureConfig) -> np.random.Generator:
         json.dumps(config_to_dict(config), sort_keys=True).encode("utf-8")
     ).digest()
     words = [int.from_bytes(digest[i : i + 8], "big") for i in range(0, 32, 8)]
-    return np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF, *words]))
+    entropy = [seed & 0xFFFFFFFF, *words]
+    # SeedSequence splits each int into 32-bit halves, low first, and drops a
+    # high half of 0; given the halves as one uint32 array it seeds the same
+    # stream without converting each int
+    if all(w >> 32 for w in words):
+        halves = (h for w in words for h in (w & 0xFFFFFFFF, w >> 32))
+        entropy = np.array([entropy[0], *halves], dtype=np.uint32)
+    return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
 def synth_time(oracle: SyntheticOracle, config: StructureConfig) -> ProfileSample:
