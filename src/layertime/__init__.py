@@ -11,6 +11,7 @@ re-exported name imports its module on first access.
 
 import sys as _sys
 from importlib import import_module as _import_module
+from types import ModuleType as _ModuleType
 
 __version__ = "0.1.0"
 
@@ -108,7 +109,7 @@ def __dir__() -> list[str]:
     return sorted({*globals(), *_LAZY_EXPORTS, *_LAZY})
 
 
-class _Package(type(_sys)):
+class _Package(_ModuleType):
     """The package module, whose ``nnls`` is the solver, not the submodule of that name."""
 
     @property
@@ -118,8 +119,10 @@ class _Package(type(_sys)):
     @nnls.setter
     def nnls(self, value):
         # the import system binds the submodule here when it first loads it;
-        # the package keeps serving the function
-        pass
+        # the package keeps serving the function, and refuses any other value
+        # so that a patch of the name fails instead of silently doing nothing
+        if not isinstance(value, _ModuleType):
+            raise AttributeError(f"{__name__}.nnls is read-only")
 
 
 _sys.modules[__name__].__class__ = _Package

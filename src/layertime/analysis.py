@@ -21,6 +21,7 @@ from .layers import (
     StructureConfig,
     _derived,
     _integer,
+    _too_large,
     _with_widths,
     cnn,
     conv_output_dims,
@@ -259,7 +260,7 @@ def channel_time_polynomial(fit: LinearFit, setting: ConvGeometry) -> ChannelPol
             float(flops), float(param_size - 1), float(mem_in + mem_inter), float(mem_out)
         )
     except OverflowError:
-        raise ValueError("CNN config has a size too large for a float") from None
+        raise _too_large(LayerKind.CNN) from None
     return ChannelPolynomial(
         a=w[0] * uv_flops + w[2] * uv_taps,
         b=w[1] * u_mem,

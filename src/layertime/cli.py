@@ -158,15 +158,16 @@ def _fail(kind: str, exc: Exception, code: int) -> int:
 
 
 def _cmd_plan(args) -> int:
-    from .harness import SCOPES, save_plan
+    from .harness import save_plan
 
-    if args.scope not in SCOPES:
-        raise _UsageError(f"unknown scope {args.scope!r}; known: {', '.join(sorted(SCOPES))}")
     if args.networks < 1:
         raise _UsageError("--networks must be >= 1")
     if args.seed < 0:
         raise _UsageError("--seed must be >= 0")
-    plan = generate_plan(scope=args.scope, n_networks=args.networks, seed=args.seed)
+    try:
+        plan = generate_plan(scope=args.scope, n_networks=args.networks, seed=args.seed)
+    except ValueError as exc:  # an unknown --scope: the other two are checked above
+        raise _UsageError(str(exc)) from exc
     save_plan(plan, args.out)
     print(f"plan: {len(plan)} components across {args.networks} networks -> {args.out}")
     return 0

@@ -214,13 +214,11 @@ def _config_rng(seed: int, config: StructureConfig) -> np.random.Generator:
         json.dumps(config_to_dict(config), sort_keys=True).encode("utf-8")
     ).digest()
     words = [int.from_bytes(digest[i : i + 8], "big") for i in range(0, 32, 8)]
-    entropy = [seed & 0xFFFFFFFF, *words]
     # SeedSequence splits each int into 32-bit halves, low first, and drops a
-    # high half of 0; given the halves as one uint32 array it seeds the same
-    # stream without converting each int
-    if all(w >> 32 for w in words):
-        halves = (h for w in words for h in (w & 0xFFFFFFFF, w >> 32))
-        entropy = np.array([entropy[0], *halves], dtype=np.uint32)
+    # high half of 0; given those halves as one uint32 array it seeds the same
+    # stream as the list of ints, without converting each int
+    halves = (h for w in words for h in ((w & 0xFFFFFFFF, w >> 32) if w >> 32 else (w,)))
+    entropy = np.array([seed & 0xFFFFFFFF, *halves], dtype=np.uint32)
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 

@@ -400,7 +400,12 @@ def _row_values(config: StructureConfig) -> list[float]:
             float(flops), float(mem_in + mem_out + mem_inter), float(param_size), step,
         ]
     except OverflowError:
-        raise ValueError(f"{kind.value} config has a size too large for a float") from None
+        raise _too_large(kind) from None
+
+
+def _too_large(kind: LayerKind) -> ValueError:
+    """The error for a ``kind`` config with a field or derived size beyond a float."""
+    return ValueError(f"{kind.value} config has a size too large for a float")
 
 
 def derive_features(config: StructureConfig) -> FeatureVector:

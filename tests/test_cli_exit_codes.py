@@ -30,15 +30,20 @@ def test_unknown_plan_scope_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["", "  "])
-def test_empty_evaluator_command_is_a_usage_error(inputs, capsys, command):
+@pytest.mark.parametrize(
+    ("command", "reason"),
+    [
+        ("", "evaluator command must not be empty"),
+        ("  ", "evaluator command must not be empty"),
+        ('"unclosed', "No closing quotation"),
+    ],
+)
+def test_empty_or_unbalanced_evaluator_command_is_a_usage_error(inputs, capsys, command, reason):
     out = inputs / "compressed.json"
     argv = ["compress", "--model", str(inputs / "model.json"),
             "--network", str(inputs / "net.json"), "--evaluator-cmd", command, "--out", str(out)]
     assert main(argv) == 1
-    assert capsys.readouterr().err == (
-        "error: usage: bad --evaluator-cmd: evaluator command must not be empty\n"
-    )
+    assert capsys.readouterr().err == f"error: usage: bad --evaluator-cmd: {reason}\n"
     assert not out.exists()
 
 

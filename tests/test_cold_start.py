@@ -65,6 +65,13 @@ import layertime.nnls as bound
 from layertime import nnls
 from layertime.nnls import nnls as direct
 assert layertime.nnls is bound is nnls is direct is solver
+try:
+    layertime.nnls = len
+except AttributeError as exc:
+    assert str(exc) == "layertime.nnls is read-only", exc
+else:
+    raise AssertionError("a patch of layertime.nnls was silently dropped")
+assert layertime.nnls is solver
 print("ok")
 """
 
