@@ -51,6 +51,8 @@ __all__ = [
 # largest channel count the profiling scope can produce
 _VERIFY_CAP = 1024.0
 
+_BISECT_TOL = 1e-6  # bisection stops once its bracket is this narrow, in channels
+
 
 @dataclass(frozen=True)
 class VariableSignificance:
@@ -326,10 +328,10 @@ class ExpansionRegion:
         return not self.is_empty and 1 <= u <= self.bound and 1 <= v <= self.bound
 
 
-def _bisect_root(poly: ChannelPolynomial, lo: float, hi: float, tol: float = 1e-6) -> float:
+def _bisect_root(poly: ChannelPolynomial, lo: float, hi: float) -> float:
     # invariant: diagonal(lo) < 0 <= diagonal(hi); returns the low end so
     # the benefit stays strictly negative at the reported bound
-    while hi - lo > tol:
+    while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if poly.diagonal(mid) < 0:
             lo = mid
@@ -429,7 +431,7 @@ class SimplifiedTimeModel:
                 ConvGeometry.from_config(config) != region.setting
             ):
                 return None
-            tau = int(region.condition.tau)
+            tau = region.condition.tau
             value = getattr(config, field)
             updates[field] = tau * -(-value // tau)
         if not updates:
@@ -463,7 +465,7 @@ def simplify_model(
             raise ValueError("only verified regions may simplify a model")
         if region.condition is None or region.condition.kind is not ConditionKind.MULTIPLE:
             raise ValueError("regions must carry a multiple condition")
-        tau = int(region.condition.tau)
+        tau = region.condition.tau
         j = region.condition.feature_index
         # only a channel count is a width that snapping rounds without changing the function
         if j >= len(names) or names[j] not in width_fields(LayerKind.CNN):

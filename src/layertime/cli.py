@@ -228,7 +228,7 @@ def _cmd_fit(args) -> int:
         raise ValueError("profile contains no records")
     rng = np.random.default_rng(args.seed)
     models = {}
-    for kind in sorted(data, key=lambda k: k.value):
+    for kind in data:
         train, test = _split_dataset(data[kind], rng)
         if len(train) < params.min_leaf:
             print(
@@ -255,14 +255,11 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    from .tree import load_models
+    from .tree import _model_for, load_models
 
     models = _load(args.model, load_models)
     config = _load(args.config, _load_config)
-    model = models.get(config.kind)
-    if model is None:
-        raise ValueError(f"no model for layer kind {config.kind.value}")
-    print(f"{model.predict(config):.3f} ms")
+    print(f"{_model_for(models, config.kind).predict(config):.3f} ms")
     return 0
 
 
@@ -281,7 +278,7 @@ def _cmd_analyze(args) -> int:
 
     if args.dataset:
         data = ingest_profile(args.dataset)
-        for kind in sorted(data, key=lambda k: k.value):
+        for kind in data:
             significance = coefficient_pvalues(data[kind])
             report["significance"][kind.value] = [
                 {
@@ -314,7 +311,7 @@ def _cmd_analyze(args) -> int:
             feature = names[cond.feature_index]
             if feature not in width_fields(LayerKind.CNN):
                 continue
-            delta = int(cond.tau) - 1
+            delta = cond.tau - 1
             benefit = expansion_benefit(
                 node.left.fit, node.right.fit, setting, delta, axis=feature
             )
@@ -328,7 +325,7 @@ def _cmd_analyze(args) -> int:
                 {
                     "node": node_id,
                     "feature": feature,
-                    "tau": int(cond.tau),
+                    "tau": cond.tau,
                     "delta": delta,
                     "polynomial": polynomial,
                     "bound": None if math.isinf(region.bound) else region.bound,
@@ -337,7 +334,7 @@ def _cmd_analyze(args) -> int:
             )
             bound = "inf" if region.bound == float("inf") else f"{region.bound:.3f}"
             print(
-                f"region: node {node_id} {feature} % {int(cond.tau)} -> "
+                f"region: node {node_id} {feature} % {cond.tau} -> "
                 f"bound {bound} verified={region.verified}"
             )
 
@@ -360,24 +357,28 @@ def _trace_to_dict(trace) -> dict:
 
 
 def _cmd_expand(args) -> int:
+    """Expand ``--network``: price both totals, write ``--trace``, then ``--out``, then print.
+
+    A non-finite total or a failed write thus leaves no ``--out`` file and
+    prints no result.
+    """
     from .steering import load_network, save_network
     from .tree import _dump, load_models
 
     models = _load(args.model, load_models)
     net = _load(args.network, load_network)
     expanded, trace = expand_network(models, net)
-    # totals first: a non-finite one is an error before anything is printed
     before = network_time(models, net)
     after = network_time(models, expanded)
+    if args.trace:
+        Path(args.trace).write_bytes(_dump(_trace_to_dict(trace)))
+    Path(args.out).write_bytes(save_network(expanded))
     for i, entry in enumerate(trace.entries):
         print(
             f"layer {i} ({entry.original.kind.value}): "
             f"{entry.time_before:.3f} ms -> {entry.time_after:.3f} ms"
         )
     print(f"total: {before:.3f} ms -> {after:.3f} ms")
-    Path(args.out).write_bytes(save_network(expanded))
-    if args.trace:
-        Path(args.trace).write_bytes(_dump(_trace_to_dict(trace)))
     print(f"expand: network -> {args.out}")
     return 0
 

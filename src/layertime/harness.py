@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -160,10 +160,15 @@ def generate_plan(
     return plan
 
 
-def save_plan(plan: Sequence[StructureConfig], path: str | Path) -> None:
+def _write_records(path: str | Path, records: Iterable[dict]) -> None:
+    """Write each record as one line of sorted-key JSON, the files :func:`_records` reads."""
     with open(path, "w", encoding="utf-8") as fh:
-        for config in plan:
-            fh.write(json.dumps(config_to_dict(config), sort_keys=True) + "\n")
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def save_plan(plan: Sequence[StructureConfig], path: str | Path) -> None:
+    _write_records(path, map(config_to_dict, plan))
 
 
 def _records(path: str | Path) -> Iterator[tuple[str, object]]:
@@ -305,24 +310,13 @@ _SCHEMA = 1
 
 def write_profile(samples: Sequence[ProfileSample], path: str | Path) -> None:
     """Write samples as line-delimited JSON records."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for sample in samples:
-            record = config_to_dict(sample.config)
-            kind = record.pop("kind")
-            fh.write(
-                json.dumps(
-                    {
-                        "layer_type": kind,
-                        "config": record,
-                        "time_ms": sample.time_ms,
-                        "reps": sample.reps,
-                        "source": sample.source,
-                        "schema": _SCHEMA,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+
+    def record(sample: ProfileSample) -> dict:
+        config = config_to_dict(sample.config)
+        return {"layer_type": config.pop("kind"), "config": config, "time_ms": sample.time_ms,
+                "reps": sample.reps, "source": sample.source, "schema": _SCHEMA}
+
+    _write_records(path, map(record, samples))
 
 
 def read_profile(path: str | Path) -> list[ProfileSample]:
@@ -365,7 +359,7 @@ def read_profile(path: str | Path) -> list[ProfileSample]:
 
 
 def ingest_profile(path: str | Path) -> dict[LayerKind, Dataset]:
-    """Read a profile file and derive per-kind datasets from it."""
+    """Per-kind datasets of a profile file, in kind order (CNN, FC, GRU, LSTM) in any line order."""
     samples = read_profile(path)
     grouped: dict[LayerKind, tuple[list[StructureConfig], list[float]]] = {}
     for sample in samples:
@@ -373,6 +367,6 @@ def ingest_profile(path: str | Path) -> dict[LayerKind, Dataset]:
         configs.append(sample.config)
         times.append(sample.time_ms)
     return {
-        kind: Dataset.from_records(kind, configs, times)
-        for kind, (configs, times) in grouped.items()
+        kind: Dataset.from_records(kind, *grouped[kind])
+        for kind in sorted(grouped, key=lambda k: k.value)
     }

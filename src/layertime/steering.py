@@ -51,6 +51,7 @@ from .tree import (
     _check_version,
     _dump,
     _holds,
+    _model_for,
     _parse_json,
     _route,
 )
@@ -145,13 +146,6 @@ class NetworkSpec:
         return len(self.layers)
 
 
-def _model_for(model_map: Mapping[LayerKind, TimeModel], kind: LayerKind) -> TimeModel:
-    model = model_map.get(kind)
-    if model is None:
-        raise ValueError(f"no model for layer kind {kind.value}")
-    return model
-
-
 @dataclass(frozen=True, slots=True)
 class AcceptedExpansion:
     """One committed rounding, with the two node predictions that allowed it."""
@@ -193,7 +187,9 @@ class ExpansionTrace:
 
 
 def _obeys_trail(trail: list, features: Sequence[float]) -> bool:
-    return all(_holds(cond, features[cond.feature_index]) == truth for cond, truth in trail)
+    return all(
+        _holds(cond.kind, cond.tau, features[cond.feature_index]) == truth for cond, truth in trail
+    )
 
 
 def _walk_once(
@@ -210,11 +206,11 @@ def _walk_once(
     while node.condition is not None:
         cond = node.condition
         if cond.kind is ConditionKind.RANGE:
-            truth = _holds(cond, f[cond.feature_index])
+            truth = _holds(cond.kind, cond.tau, f[cond.feature_index])
             trail.append((cond, truth))
             node = node.left if truth else node.right
             continue
-        tau = int(cond.tau)
+        tau = cond.tau
         value = f[cond.feature_index]
         target = tau * math.ceil(value / tau)
         if target == value:
@@ -226,7 +222,7 @@ def _walk_once(
         field = feature_names(model.kind)[cond.feature_index]
         expandable = field in width_fields(model.kind)
         if expandable and target <= _EXPANSION_CAP * getattr(original, field):
-            candidate = _with_widths(current, **{field: int(target)})
+            candidate = _with_widths(current, **{field: target})
             values = _row_values(candidate)
             f_hat, x_hat = values[:n], np.array(values[n:])
             expanded_time = float(node.left.fit.predict(x_hat))
@@ -257,12 +253,10 @@ def expand_layer(
     terminates), and the result is kept only if the full-model prediction
     did not get worse.  Hence the returned configuration never predicts
     slower than the input, never shrinks a coordinate, and re-expanding it
-    is a no-op.
+    is a no-op.  The input is priced before the walk, so
+    :meth:`TimeModel.predict` rejects a config of another kind than the model's.
     """
-    if model.kind is not config.kind:
-        raise ValueError(
-            f"model fits {model.kind.value} layers, got {config.kind.value}"
-        )
+    time_before = model.predict(config)
     width_total = sum(getattr(config, name) for name in width_fields(config.kind))
     current = config
     accepted: list[AcceptedExpansion] = []
@@ -272,7 +266,6 @@ def expand_layer(
             break
         accepted.extend(walk_accepted)
         current = walked
-    time_before = model.predict(config)
     time_after = model.predict(current)
     reverted = time_after > time_before
     if reverted:
@@ -332,28 +325,20 @@ def _reconcile(
         downstream = getattr(configs[i + 1], in_field)
         if upstream == downstream:
             continue
-        options, totals = {}, {}
-        for name, j, changes in (
-            ("upstream", i + 1, {in_field: upstream}),
-            ("downstream", i, {out_field: downstream}),
-        ):
-            # only layer j changes, so only it is re-priced
-            option_configs, option_times = list(configs), list(times)
-            option_configs[j] = _with_widths(configs[j], **changes)
-            option_times[j] = price(option_configs[j])
-            options[name] = (option_configs, option_times)
-            totals[name] = sum(option_times)
-        kept = "downstream" if totals["downstream"] < totals["upstream"] else "upstream"
-        configs, times = options[kept]
+        # each choice changes one layer, so only that layer is re-priced
+        with_upstream = _with_widths(configs[i + 1], **{in_field: upstream})
+        upstream_times = list(times)
+        upstream_times[i + 1] = price(with_upstream)
+        with_downstream = _with_widths(configs[i], **{out_field: downstream})
+        downstream_times = list(times)
+        downstream_times[i] = price(with_downstream)
+        upstream_total, downstream_total = sum(upstream_times), sum(downstream_times)
+        if downstream_total < upstream_total:
+            kept, configs[i], times = "downstream", with_downstream, downstream_times
+        else:
+            kept, configs[i + 1], times = "upstream", with_upstream, upstream_times
         conflicts.append(
-            ConflictResolution(
-                junction=i,
-                upstream_width=upstream,
-                downstream_width=downstream,
-                time_with_upstream=totals["upstream"],
-                time_with_downstream=totals["downstream"],
-                kept=kept,
-            )
+            ConflictResolution(i, upstream, downstream, upstream_total, downstream_total, kept)
         )
 
     times_before = [entry.time_before for entry in entries]
@@ -568,15 +553,15 @@ def _check_grid(net: NetworkSpec, width_grid: Sequence[Sequence[int]]) -> list[l
 
 def _apply_widths(net: NetworkSpec, widths: Sequence[int]) -> NetworkSpec:
     layers = list(net.layers)
+    next_inputs = {i: in_field for i, _, in_field in _shared_widths(layers)}
     for i, width in enumerate(widths):
         out_field = width_fields(layers[i].kind)[1]
         # a valid network already gives a shared next input this width too
         if getattr(layers[i], out_field) == width:
             continue
         layers[i] = _with_widths(layers[i], **{out_field: width})
-        if i + 1 < len(layers) and _coupled_kinds(layers[i].kind, layers[i + 1].kind):
-            in_field = width_fields(layers[i + 1].kind)[0]
-            layers[i + 1] = _with_widths(layers[i + 1], **{in_field: width})
+        if i in next_inputs:
+            layers[i + 1] = _with_widths(layers[i + 1], **{next_inputs[i]: width})
     return NetworkSpec(tuple(layers))
 
 
@@ -608,10 +593,9 @@ def greedy_compress(
     current = net
     try:
         best = objective(current)
-        improved = True
-        while improved:
-            improved = False
-            move: tuple[float, NetworkSpec] | None = None
+        while True:
+            # strictly better than the best so far, so a tie goes to the first move
+            move = None
             widths = _current_widths(current)
             for i, grid in enumerate(grids):
                 for width in grid:
@@ -621,11 +605,11 @@ def greedy_compress(
                     candidate_widths[i] = width
                     candidate = _apply_widths(current, candidate_widths)
                     value = objective(candidate)
-                    if value < best and (move is None or value < move[0]):
-                        move = (value, candidate)
-            if move is not None:
-                best, current = move
-                improved = True
+                    if value < best:
+                        best, move = value, candidate
+            if move is None:
+                break
+            current = move
         expanded, _ = expand_network(model_map, current)
         if expanded != current and objective(expanded) <= best:
             current = expanded
@@ -645,10 +629,11 @@ def _width_tables(
     ``j = None`` when the input width is not shared.
     """
     tables = []
+    sources = {i + 1: i for i, _, _ in _shared_widths(net.layers)}
     for i, layer in enumerate(net.layers):
         model = _model_for(model_map, layer.kind)
         in_field, out_field = width_fields(layer.kind)
-        j = i - 1 if i and _coupled_kinds(net.layers[i - 1].kind, layer.kind) else None
+        j = sources.get(i)
         table = {}
         for w_in in [None] if j is None else grids[j]:
             for w_out in grids[i]:
@@ -676,9 +661,7 @@ def brute_force_compress(
     """
     lam = _number("lam", lam, 0)
     grids = _check_grid(net, width_grid)
-    total = 1
-    for grid in grids:
-        total *= len(grid)
+    total = math.prod(len(grid) for grid in grids)
     if total > 1_000_000:
         raise ValueError(f"search space of {total} candidates is too large")
     objective = _Objective(evaluator, model_map, lam, budget=math.inf)
@@ -689,7 +672,8 @@ def brute_force_compress(
         for entry in table.values():
             objective.prices[entry.original] = entry.time_before
             objective.prices[entry.expanded] = entry.time_after
-    best: tuple[float, NetworkSpec] | None = None
+    # every objective is finite, and the grids are not empty, so some combination wins
+    best_value, best = math.inf, net
     for widths in itertools.product(*grids):
         entries = [
             table[None if j is None else widths[j], width]
@@ -699,9 +683,9 @@ def brute_force_compress(
         if expanded is None:
             expanded = _apply_widths(net, widths)
         value = objective(expanded, times)
-        if best is None or value < best[0]:
-            best = (value, expanded)
-    return net if best is None else best[1]
+        if value < best_value:
+            best_value, best = value, expanded
+    return best
 
 
 def rnn_time_floor(model: TimeModel, net: NetworkSpec) -> float:

@@ -24,7 +24,7 @@ import json
 import math
 from collections import deque
 from dataclasses import asdict, dataclass, field, fields
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -105,22 +105,21 @@ class Condition:
         object.__setattr__(self, "tau", int(tau) if multiple else float(tau))
 
     def holds(self, features: np.ndarray) -> np.ndarray:
-        """Evaluate the predicate on a feature row or an (n, F) matrix."""
+        """Evaluate the predicate on a feature row or an (n, F) matrix, by :func:`_holds`."""
         column = np.asarray(features, dtype=float)[..., self.feature_index]
-        if self.kind is ConditionKind.RANGE:
-            return column <= self.tau
-        return column % self.tau == 0
+        return _holds(self.kind, self.tau, column)
 
 
-def _holds(condition: Condition, value: float) -> bool:
-    """:meth:`Condition.holds` on one feature value, a Python float.
+def _holds(kind: ConditionKind, tau, value):
+    """The one split predicate: ``value <= tau`` (range) or ``value % tau == 0`` (multiple).
 
-    Features are non-negative and ``fmod`` is exact, so ``<=`` and ``%``
-    on floats give the bits numpy's ``less_equal`` and ``remainder`` give.
+    ``value`` and ``tau`` are Python floats or broadcasting numpy arrays.  Features are
+    non-negative and ``fmod`` is exact, so on Python floats ``<=`` and ``%`` give the
+    bits numpy's ``less_equal`` and ``remainder`` give.
     """
-    if condition.kind is ConditionKind.RANGE:
-        return value <= condition.tau
-    return value % condition.tau == 0
+    if kind is ConditionKind.RANGE:
+        return value <= tau
+    return value % tau == 0
 
 
 def _route(node: "Node", features: Sequence[float]) -> "Node":
@@ -131,7 +130,8 @@ def _route(node: "Node", features: Sequence[float]) -> "Node":
     """
     while node.condition is not None:
         condition = node.condition
-        node = node.left if _holds(condition, features[condition.feature_index]) else node.right
+        holds = _holds(condition.kind, condition.tau, features[condition.feature_index])
+        node = node.left if holds else node.right
     return node
 
 
@@ -350,6 +350,14 @@ class TimeModel:
         return out
 
 
+def _model_for(models: Mapping[LayerKind, TimeModel], kind: LayerKind) -> TimeModel:
+    """The model of ``kind`` in a kind-keyed family, or a ``ValueError`` naming the kind."""
+    model = models.get(kind)
+    if model is None:
+        raise ValueError(f"no model for layer kind {kind.value}")
+    return model
+
+
 def _design(dataset: Dataset) -> np.ndarray:
     """The dataset's explanatory columns followed by an intercept column of ones."""
     return np.hstack([dataset.explanatory, np.ones((len(dataset), 1))])
@@ -392,10 +400,8 @@ def _candidates(dataset: Dataset, params: FitParams) -> tuple[list[Condition], n
         column = features[:, j]
         thresholds = np.unique(quantiles[:, j])
         thresholds = thresholds[thresholds > 0]
-        for kind, taus, masks in (
-            (ConditionKind.MULTIPLE, moduli, column % moduli[:, None] == 0),
-            (ConditionKind.RANGE, thresholds, column <= thresholds[:, None]),
-        ):
+        for kind, taus in ((ConditionKind.MULTIPLE, moduli), (ConditionKind.RANGE, thresholds)):
+            masks = _holds(kind, taus[:, None], column)
             n_left = masks.sum(axis=1)
             passing = (params.min_leaf <= n_left) & (n_left <= n - params.min_leaf)
             conditions.extend(Condition(int(j), taus[i], kind) for i in np.flatnonzero(passing))
@@ -447,7 +453,7 @@ def _tie_break_key(condition: Condition) -> tuple[int, int, float]:
     return (
         0 if condition.kind is ConditionKind.MULTIPLE else 1,
         condition.feature_index,
-        float(condition.tau),
+        condition.tau,
     )
 
 
@@ -686,22 +692,15 @@ def model_to_dict(model: TimeModel) -> dict:
     ids = {id(node): i for i, node in ordered}
     nodes = []
     for i, node in ordered:
-        condition = None
-        if node.condition is not None:
-            condition = {
-                "feature": node.condition.feature_index,
-                "tau": node.condition.tau,
-                "kind": node.condition.kind.value,
-            }
+        cond, fit = node.condition, node.fit
+        # the fit's own fields are already Python numbers
         nodes.append(
             {
                 "id": i,
-                "cond": condition,
-                "w": [float(v) for v in node.fit.w],
-                "b": float(node.fit.b),
-                "n": int(node.fit.n),
-                "mape": float(node.fit.mape),
-                "mse": float(node.fit.mse),
+                "cond": None if cond is None else
+                {"feature": cond.feature_index, "tau": cond.tau, "kind": cond.kind.value},
+                "w": fit.w.tolist(),
+                "b": fit.b, "n": fit.n, "mape": fit.mape, "mse": fit.mse,
                 "left": ids[id(node.left)] if node.left is not None else None,
                 "right": ids[id(node.right)] if node.right is not None else None,
             }

@@ -117,6 +117,21 @@ def test_expand_command(tmp_path, capsys):
     assert "expanded_time <= current_time" in trace["rule"]
 
 
+def test_expand_that_cannot_write_its_trace_writes_no_network(tmp_path, capsys):
+    model_path = write_reference_model(tmp_path)
+    net_path = write_network(tmp_path, [cnn(24, 24, 3, 3, 43, 64)])
+    out_path = tmp_path / "expanded.json"
+    code = main([
+        "expand", "--model", str(model_path), "--network", str(net_path),
+        "--out", str(out_path), "--trace", str(tmp_path),
+    ])
+    assert code == 2
+    assert not out_path.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: data: ")
+
+
 def make_width_sum_evaluator(tmp_path):
     script = tmp_path / "width_loss.py"
     script.write_text(

@@ -139,17 +139,16 @@ def argvs(draw, command):
     return argv + draw(_STRAY)
 
 
-def _reject(token):
-    raise AssertionError(f"wrote a non-finite JSON number: {token}")
+def _assert_finite_json(path: Path, argv: list[str]) -> None:
+    def reject(token):
+        raise AssertionError(f"argv={argv!r} wrote a non-finite JSON number: {token}")
 
-
-def _assert_finite_json(path: Path) -> None:
     text = path.read_text(encoding="utf-8")
     try:
-        json.loads(text, parse_constant=_reject)
+        json.loads(text, parse_constant=reject)
     except json.JSONDecodeError:  # a JSON-lines file
         for line in text.splitlines():
-            json.loads(line, parse_constant=_reject)
+            json.loads(line, parse_constant=reject)
 
 
 @pytest.mark.parametrize("command", list(_FLAGS))
@@ -166,13 +165,17 @@ def test_any_argv_keeps_the_exit_code_contract(inputs, command, data):
             code = main(argv)
         for path in Path(out).rglob("*"):
             if path.is_file():
-                _assert_finite_json(path)
+                _assert_finite_json(path, argv)
     err = stderr.getvalue()
-    assert code in (0, 1, 2, 3)
-    assert [str(w.message) for w in caught] == []
+    # every message names the argv, so a failure can be replayed from its last lines
+    where = f"argv={argv!r}"
+    assert code in (0, 1, 2, 3), where
+    # a warning's category and origin, so a one-off warning shows where it came from
+    warned = [f"{w.category.__name__} at {w.filename}:{w.lineno}: {w.message}" for w in caught]
+    assert warned == [], where
     if code == 0:
-        assert err == ""
-        assert "nan" not in stdout.getvalue()
+        assert err == "", where
+        assert "nan" not in stdout.getvalue(), where
     else:
-        assert err.startswith("error: ") and err.endswith("\n")
-        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and err.endswith("\n"), where
+        assert len(err.splitlines()) == 1, where

@@ -24,7 +24,7 @@ from layertime.harness import (
     synth_time,
     write_profile,
 )
-from layertime.layers import LayerKind, cnn, derive_features, fc, gru
+from layertime.layers import LayerKind, cnn, derive_features, fc, gru, lstm
 from layertime.tree import (
     Condition,
     ConditionKind,
@@ -166,6 +166,14 @@ def test_single_record_round_trip(tmp_path):
     assert len(ds) == 1
     assert list(ds.features[0]) == list(derive_features(config).as_array())
     assert ds.times[0] == 3.25
+
+
+def test_ingest_returns_the_kinds_in_value_order(tmp_path):
+    configs = [lstm(4, 8, 10), fc(3, 4), cnn(24, 24, 3, 3, 8, 16), gru(5, 6, 8)]
+    path = tmp_path / "profile.jsonl"
+    write_profile([ProfileSample(config=c, time_ms=1.5) for c in configs], path)
+    assert list(ingest_profile(path)) == [LayerKind.CNN, LayerKind.FC, LayerKind.GRU,
+                                          LayerKind.LSTM]
 
 
 def test_dataset_round_trips_through_files(tmp_path):

@@ -166,6 +166,11 @@ def test_kind_mismatch_rejected(reference_model):
         expand_layer(reference_model, fc(3, 5))
 
 
+def test_kind_mismatch_names_both_kinds(reference_model):
+    with pytest.raises(ValueError, match="^model fits CNN layers, got FC$"):
+        expand_layer(reference_model, fc(3, 4))
+
+
 @pytest.mark.parametrize(
     "kind,seed", [(LayerKind.CNN, 11), (LayerKind.FC, 22), (LayerKind.GRU, 33)]
 )

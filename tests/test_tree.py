@@ -169,6 +169,23 @@ def test_condition_holds_on_rows_and_matrices():
     assert bool(cond.holds(features[0])) is True
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(st.integers(0, 2**24).map(float), min_size=1, max_size=8),
+    kind=st.sampled_from(list(ConditionKind)),
+    range_tau=st.floats(1e-3, 2.0**25),
+    multiple_tau=st.integers(2, 4096),
+)
+def test_scalar_predicate_agrees_with_condition_holds(values, kind, range_tau, multiple_tau):
+    # the route on Python floats and the masks on arrays share one predicate
+    cond = Condition(1, multiple_tau if kind is MULTIPLE else range_tau, kind)
+    expected = [tree._holds(cond.kind, cond.tau, v) for v in values]
+    assert all(type(h) is bool for h in expected)
+    matrix = np.column_stack([np.zeros(len(values)), values])
+    assert cond.holds(matrix).tolist() == expected
+    assert [bool(cond.holds(row)) for row in matrix] == expected
+
+
 @pytest.mark.parametrize("kind", ["multiple", "range", None, 0, ConditionKind], ids=repr)
 def test_condition_kind_must_be_a_condition_kind(kind):
     # a text kind once built with an unchecked tau, and holds took it as multiple
