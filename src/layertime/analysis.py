@@ -22,11 +22,11 @@ from .layers import (
     _derived,
     _integer,
     _too_large,
+    _width_at,
     _with_widths,
     cnn,
     conv_output_dims,
     explanatory_names,
-    feature_names,
     width_fields,
 )
 from .nnls import NumericError
@@ -408,21 +408,42 @@ class SimplifiedTimeModel:
     Inside the joint verified region, configurations are first rounded up
     to the regions' multiples before prediction (never predicting above
     the base model); outside it, predictions match the base model exactly.
+
+    Regions must pass verification and carry a multiple condition on a
+    channel count, and two regions on one feature must agree on the modulus,
+    or ``ValueError`` is raised; empty (demoted) regions are ignored.
     """
 
     def __init__(self, base: TimeModel, regions: Sequence[ExpansionRegion]):
+        usable: list[ExpansionRegion] = []
+        by_feature: dict[int, int] = {}
+        for region in regions:
+            if region.is_empty:
+                continue
+            if not region.verified:
+                raise ValueError("only verified regions may simplify a model")
+            if region.condition is None or region.condition.kind is not ConditionKind.MULTIPLE:
+                raise ValueError("regions must carry a multiple condition")
+            j, tau = region.condition.feature_index, region.condition.tau
+            # only a channel count is a width that snapping rounds without changing the function
+            if _width_at(base.kind, j) not in width_fields(LayerKind.CNN):
+                raise ValueError("regions must split on in_channel or out_channel")
+            if by_feature.setdefault(j, tau) != tau:
+                raise ValueError(
+                    f"contradictory regions on feature {j}: moduli {by_feature[j]} and {tau}"
+                )
+            usable.append(region)
         self.base = base
-        self.regions = tuple(regions)
+        self.regions = tuple(usable)
 
     @property
     def kind(self) -> LayerKind:
         return self.base.kind
 
     def _snap(self, config: StructureConfig) -> StructureConfig | None:
-        names = feature_names(self.base.kind)
         updates: dict[str, int] = {}
         for region in self.regions:
-            field = names[region.condition.feature_index]
+            field = _width_at(self.kind, region.condition.feature_index)
             u = getattr(config, "in_channel", None)
             v = getattr(config, "out_channel", None)
             if u is None or v is None or not region.contains(u, v):
@@ -449,31 +470,5 @@ class SimplifiedTimeModel:
 def simplify_model(
     model: TimeModel, regions: Sequence[ExpansionRegion]
 ) -> SimplifiedTimeModel:
-    """Build the snap-then-route predictor from verified regions.
-
-    Regions must carry a multiple condition on a channel count and pass
-    verification; empty (demoted) regions are ignored.  Two regions
-    disagreeing on the modulus of the same feature are contradictory.
-    """
-    names = feature_names(model.kind)
-    usable: list[ExpansionRegion] = []
-    by_feature: dict[int, int] = {}
-    for region in regions:
-        if region.is_empty:
-            continue
-        if not region.verified:
-            raise ValueError("only verified regions may simplify a model")
-        if region.condition is None or region.condition.kind is not ConditionKind.MULTIPLE:
-            raise ValueError("regions must carry a multiple condition")
-        tau = region.condition.tau
-        j = region.condition.feature_index
-        # only a channel count is a width that snapping rounds without changing the function
-        if j >= len(names) or names[j] not in width_fields(LayerKind.CNN):
-            raise ValueError("regions must split on in_channel or out_channel")
-        if j in by_feature and by_feature[j] != tau:
-            raise ValueError(
-                f"contradictory regions on feature {j}: moduli {by_feature[j]} and {tau}"
-            )
-        by_feature[j] = tau
-        usable.append(region)
-    return SimplifiedTimeModel(base=model, regions=usable)
+    """Build the snap-then-route predictor; :class:`SimplifiedTimeModel` checks the regions."""
+    return SimplifiedTimeModel(base=model, regions=regions)

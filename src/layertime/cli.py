@@ -268,7 +268,7 @@ def _cmd_analyze(args) -> int:
 
     from .analysis import ConvGeometry, expansion_benefit, safe_region, verify_region
     from .harness import ingest_profile
-    from .layers import LayerKind, feature_names, width_fields
+    from .layers import LayerKind, _width_at
     from .nnls import NumericError
     from .tree import FORMAT_VERSION, ConditionKind, _dump, load_models
 
@@ -303,13 +303,12 @@ def _cmd_analyze(args) -> int:
         if model is None:
             raise ValueError("no CNN model in the model file")
         setting = ConvGeometry.from_config(config)
-        names = feature_names(LayerKind.CNN)
         for node_id, node in model.nodes():
             cond = node.condition
             if cond is None or cond.kind is not ConditionKind.MULTIPLE:
                 continue
-            feature = names[cond.feature_index]
-            if feature not in width_fields(LayerKind.CNN):
+            feature = _width_at(LayerKind.CNN, cond.feature_index)
+            if feature is None:
                 continue
             delta = cond.tau - 1
             benefit = expansion_benefit(

@@ -308,6 +308,13 @@ def width_fields(kind: LayerKind) -> tuple[str, str]:
     return ("in_dim", "out_dim")
 
 
+def _width_at(kind: LayerKind, index: int) -> str | None:
+    """The width field that feature ``index`` of ``kind`` holds, or ``None``."""
+    names = _FIELDS_BY_KIND[kind]  # the feature prefix, which holds every width
+    field = names[index] if 0 <= index < len(names) else None
+    return field if field in width_fields(kind) else None
+
+
 def _with_widths(config: StructureConfig, **widths: int) -> StructureConfig:
     """A copy of ``config`` with some of its width fields changed.
 
@@ -403,6 +410,13 @@ def _row_values(config: StructureConfig) -> list[float]:
         raise _too_large(kind) from None
 
 
+def _split_row(config: StructureConfig) -> tuple[list[float], list[float]]:
+    """``(features, explanatory)`` of a configuration, from one :func:`_row_values` call."""
+    values = _row_values(config)
+    n = _n_features(config.kind)
+    return values[:n], values[n:]
+
+
 def _too_large(kind: LayerKind) -> ValueError:
     """The error for a ``kind`` config with a field or derived size beyond a float."""
     return ValueError(f"{kind.value} config has a size too large for a float")
@@ -410,8 +424,7 @@ def _too_large(kind: LayerKind) -> ValueError:
 
 def derive_features(config: StructureConfig) -> FeatureVector:
     """Feature vector of a configuration: structural fields plus memory sizes."""
-    values = _row_values(config)
-    return FeatureVector(kind=config.kind, values=tuple(values[: _n_features(config.kind)]))
+    return FeatureVector(kind=config.kind, values=tuple(_split_row(config)[0]))
 
 
 def derive_explanatory(config: StructureConfig) -> ExplanatoryVector:
@@ -420,8 +433,7 @@ def derive_explanatory(config: StructureConfig) -> ExplanatoryVector:
     ``mem`` is the sum of the three memory features; ``step`` is copied
     through for recurrent kinds only.
     """
-    values = _row_values(config)
-    return ExplanatoryVector(*values[_n_features(config.kind):])
+    return ExplanatoryVector(*_split_row(config)[1])
 
 
 def config_to_dict(config: StructureConfig) -> dict:

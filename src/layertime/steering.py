@@ -31,14 +31,13 @@ from .layers import (
     LayerKind,
     StructureConfig,
     _integer,
-    _n_features,
     _number,
-    _row_values,
+    _split_row,
+    _width_at,
     _with_widths,
     config_from_dict,
     config_to_dict,
     explanatory_names,
-    feature_names,
     width_fields,
 )
 # unused here: bound so that tracers which wrap these names per module find them
@@ -101,14 +100,9 @@ class EvaluationError(RuntimeError):
     """An external loss evaluation failed."""
 
 
-_DENSE_KINDS = frozenset({LayerKind.FC, LayerKind.GRU, LayerKind.LSTM})
-
-
 def _coupled_kinds(a: LayerKind, b: LayerKind) -> bool:
-    # consecutive layers share a width only within the same family
-    if a is LayerKind.CNN and b is LayerKind.CNN:
-        return True
-    return a in _DENSE_KINDS and b in _DENSE_KINDS
+    # consecutive layers share a width only within the same family: CNN or dense
+    return (a is LayerKind.CNN) is (b is LayerKind.CNN)
 
 
 def _shared_widths(layers: Sequence[StructureConfig]) -> tuple[tuple[int, str, str], ...]:
@@ -195,11 +189,10 @@ def _obeys_trail(trail: list, features: Sequence[float]) -> bool:
 def _walk_once(
     model: TimeModel, config: StructureConfig, original: StructureConfig
 ) -> tuple[StructureConfig, list[AcceptedExpansion]]:
-    n = _n_features(model.kind)
     current = config
     # routed on the Python floats of one derivation, priced on its explanatory array
-    values = _row_values(current)
-    f, x = values[:n], np.array(values[n:])
+    f, x = _split_row(current)
+    x = np.array(x)
     trail: list = []
     accepted: list[AcceptedExpansion] = []
     node = model.root
@@ -219,12 +212,11 @@ def _walk_once(
             current_time = float(node.right.fit.predict(x))
             node = node.left if expanded_time <= current_time else node.right
             continue
-        field = feature_names(model.kind)[cond.feature_index]
-        expandable = field in width_fields(model.kind)
-        if expandable and target <= _EXPANSION_CAP * getattr(original, field):
+        field = _width_at(model.kind, cond.feature_index)
+        if field is not None and target <= _EXPANSION_CAP * getattr(original, field):
             candidate = _with_widths(current, **{field: target})
-            values = _row_values(candidate)
-            f_hat, x_hat = values[:n], np.array(values[n:])
+            f_hat, x_hat = _split_row(candidate)
+            x_hat = np.array(x_hat)
             expanded_time = float(node.left.fit.predict(x_hat))
             current_time = float(node.right.fit.predict(x))
             if expanded_time <= current_time and _obeys_trail(trail, f_hat):
@@ -698,13 +690,12 @@ def rnn_time_floor(model: TimeModel, net: NetworkSpec) -> float:
     if model.kind not in RECURRENT_KINDS:
         raise ValueError(f"model kind {model.kind.value} is not recurrent")
     step_index = explanatory_names(model.kind).index("step")
-    n = _n_features(model.kind)
     floor = 0.0
     for layer in net.layers:
         if layer.kind is not model.kind:
             continue
-        values = _row_values(_with_widths(layer, in_dim=1, out_dim=1))
-        leaf = _route(model.root, values[:n])
+        features, _ = _split_row(_with_widths(layer, in_dim=1, out_dim=1))
+        leaf = _route(model.root, features)
         floor += layer.step * float(leaf.fit.w[step_index])
     return floor
 

@@ -35,8 +35,8 @@ from .layers import (
     _n_features,
     _number,
     _row_values,
+    _split_row,
     explanatory_names,
-    feature_names,
 )
 # unused here: bound so that tracers which wrap these names per module find them
 from .layers import derive_explanatory, derive_features  # noqa: F401
@@ -173,7 +173,7 @@ class Dataset:
     ) -> "Dataset":
         if len(configs) != len(times):
             raise ValueError("configs and times must agree in length")
-        n_features = len(feature_names(kind))
+        n_features = _n_features(kind)
         n_columns = n_features + len(explanatory_names(kind))
 
         def row(config: StructureConfig) -> list[float]:
@@ -321,12 +321,11 @@ class TimeModel:
             raise ValueError(
                 f"model fits {self.kind.value} layers, got {config.kind.value}"
             )
-        values = _row_values(config)
-        n = _n_features(self.kind)
-        # routed on the feature prefix, so an out-of-range feature index
+        features, explanatory = _split_row(config)
+        # routed on the features alone, so an out-of-range feature index
         # raises IndexError; the leaf law stays numpy's one-row product
-        leaf = _route(self.root, values[:n])
-        time = float(leaf.fit.predict(np.array(values[n:])))
+        leaf = _route(self.root, features)
+        time = float(leaf.fit.predict(np.array(explanatory)))
         if not math.isfinite(time):
             raise NumericError(f"{self.kind.value} model predicts a non-finite time ({time})")
         return time
@@ -747,7 +746,7 @@ def model_from_dict(doc: dict) -> TimeModel:
             raise ModelFormatError(f"node id {node_id} appears more than once")
         node_docs[node_id] = nd
     # fitted trees may hold any width; a stored one must match its kind
-    n_features = len(feature_names(kind))
+    n_features = _n_features(kind)
     n_vars = len(explanatory_names(kind))
 
     def decode(node_id: int) -> tuple[Node, int | None, int | None]:

@@ -29,6 +29,7 @@ from layertime.analysis import (
     channel_time_polynomial,
     coefficient_pvalues,
     expansion_benefit,
+    SimplifiedTimeModel,
     safe_region,
     simplify_model,
     verify_region,
@@ -457,3 +458,24 @@ def test_demoted_region_is_skipped(reference_model):
     simplified = simplify_model(reference_model, [make_region(bound=0.0, verified=False)])
     config = cnn(24, 24, 3, 3, 43, 64)
     assert simplified.predict(config) == reference_model.predict(config)
+
+
+def bad_regions(case):
+    if case == "unverified":
+        return [make_region(verified=False)]
+    if case == "contradictory":
+        return [make_region(tau=4), make_region(tau=3)]
+    condition = {
+        "range": Condition(IN_CHANNEL, 37.5, ConditionKind.RANGE),
+        "mem_in": Condition(feature_names(LayerKind.CNN).index("mem_in"), 4, ConditionKind.MULTIPLE),
+    }[case]
+    return [dataclasses.replace(make_region(), condition=condition)]
+
+
+@pytest.mark.parametrize("case", ["unverified", "range", "mem_in", "contradictory"])
+def test_the_constructor_rejects_the_regions_simplify_model_rejects(reference_model, case):
+    with pytest.raises(ValueError) as via_simplify:
+        simplify_model(reference_model, bad_regions(case))
+    with pytest.raises(ValueError) as direct:
+        SimplifiedTimeModel(reference_model, bad_regions(case))
+    assert str(direct.value) == str(via_simplify.value)

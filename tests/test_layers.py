@@ -1,7 +1,9 @@
 """Structure configs, convolution arithmetic, and derived vectors."""
 
+import ast
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -602,3 +604,31 @@ def test_row_values_equal_the_replaced_builder(config):
     got = _row_values(config)
     assert type(got) is list and [type(v) for v in got] == [float] * len(expected)
     assert [v.hex() for v in got] == [v.hex() for v in expected]
+
+
+@given(kind=st.sampled_from(list(LayerKind)), index=st.integers(-(10**6), 10**6))
+def test_width_at_names_the_width_field_a_feature_holds(kind, index):
+    names, widths = feature_names(kind), width_fields(kind)
+
+    def expected(j):
+        return names[j] if 0 <= j < len(names) and names[j] in widths else None
+
+    for j in [*range(-2, len(names) + 2), index]:
+        assert layers._width_at(kind, j) == expected(j)
+    assert sorted(filter(None, map(expected, range(len(names))))) == sorted(widths)
+
+
+def test_only_layers_and_tree_read_the_row_layout():
+    # steering, analysis and the CLI split rows with ``_split_row`` and find
+    # widths with ``_width_at``; none reads the row layout or feature names
+    source = Path(layers.__file__).parent
+    banned = {"_row_values", "_n_features", "feature_names"}
+    found = []
+    for module in ("steering", "analysis", "cli"):
+        for node in ast.walk(ast.parse((source / f"{module}.py").read_text())):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name in banned:
+                found.append(f"{module}.py:{node.lineno}: {name}")
+    assert found == []

@@ -589,6 +589,21 @@ def test_predict_is_bit_identical_to_the_two_derivation_reference(kind, seed):
         assert model.predict(config).hex() == reference_predict(model, config).hex()
 
 
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(list(LayerKind)), seed=st.integers(0, 2**32 - 1))
+def test_split_row_is_bit_identical_to_the_reference_builders(kind, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        config = random_config(rng, kind)
+        features, explanatory = layers._split_row(config)
+        for got, expected in (
+            (features, reference_feature_values(config)),
+            (explanatory, reference_explanatory_values(config)),
+        ):
+            assert type(got) is list and [type(v) for v in got] == [float] * len(expected)
+            assert [v.hex() for v in got] == [v.hex() for v in expected]
+
+
 def test_predict_derives_once(monkeypatch, reference_model):
     calls = []
     derived = layers._derived
