@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,12 @@ class Padding(enum.Enum):
 
 
 RECURRENT_KINDS = frozenset({LayerKind.GRU, LayerKind.LSTM})
+
+# Members bound once for the per-config hot paths: on Python 3.11 every
+# ``LayerKind.X`` read goes through ``EnumType.__getattr__``, a Python-level
+# hook that costs about five plain attribute reads.
+_FC, _CNN, _GRU = LayerKind.FC, LayerKind.CNN, LayerKind.GRU
+_VALID = Padding.VALID
 
 #: Padding is encoded numerically so split conditions can act on it.
 PADDING_CODES = {Padding.VALID: 0, Padding.SAME: 1}
@@ -171,6 +178,10 @@ class StructureConfig:
 # Every structural field, in the order ``StructureConfig`` declares it.
 _ALL_FIELDS = StructureConfig.__slots__[1:]
 
+# Every slot of a config read in one call, and each slot's setter by name.
+_SLOT_VALUES = operator.attrgetter(*StructureConfig.__slots__)
+_SLOT_SETTERS = {name: getattr(StructureConfig, name).__set__ for name in StructureConfig.__slots__}
+
 # Per kind, every field in ``_ALL_FIELDS`` order with whether the kind
 # requires it: validation walks this plan instead of testing membership.
 _CHECK_PLAN = {
@@ -240,7 +251,7 @@ def _conv_dims(
     padding: Padding,
 ) -> tuple[int, int]:
     """:func:`conv_output_dims` without its checks, for sizes a config already checked."""
-    if padding is Padding.VALID:
+    if padding is _VALID:
         return (in_height - kernel_height) // stride + 1, (in_width - kernel_width) // stride + 1
     return -(-in_height // stride), -(-in_width // stride)
 
@@ -303,7 +314,7 @@ def width_fields(kind: LayerKind) -> tuple[str, str]:
     kernel), stride, padding, and step count are fixed by the data and the
     application.
     """
-    if kind is LayerKind.CNN:
+    if kind is _CNN:
         return ("in_channel", "out_channel")
     return ("in_dim", "out_dim")
 
@@ -330,23 +341,23 @@ def _with_widths(config: StructureConfig, **widths: int) -> StructureConfig:
         if type(value) is not int or value < 1:
             widths[name] = _integer(name, value, 1)
     copy = object.__new__(StructureConfig)
-    set_slot = object.__setattr__
-    for name in StructureConfig.__slots__:
-        set_slot(copy, name, getattr(config, name))
+    # the slots' own setters write past the frozen __setattr__
+    for set_slot, value in zip(_SLOT_SETTERS.values(), _SLOT_VALUES(config)):
+        set_slot(copy, value)
     for name, value in widths.items():
-        set_slot(copy, name, value)
+        _SLOT_SETTERS[name](copy, value)
     return copy
 
 
 def _derived(config: StructureConfig) -> tuple[int, int, int, int, int]:
     """``(mem_in, mem_out, mem_inter, param_size, flops)`` of a configuration."""
     kind = config.kind
-    if kind is LayerKind.FC:
+    if kind is _FC:
         in_dim, out_dim = config.in_dim, config.out_dim
         param_size = in_dim * out_dim + out_dim
         # flops: a multiply-add per weight plus the bias add
         return in_dim, out_dim, 0, param_size, 2 * in_dim * out_dim + out_dim
-    if kind is LayerKind.CNN:
+    if kind is _CNN:
         in_h, in_w = config.in_height, config.in_width
         k_h, k_w = config.kernel_height, config.kernel_width
         in_c, out_c = config.in_channel, config.out_channel
@@ -361,7 +372,7 @@ def _derived(config: StructureConfig) -> tuple[int, int, int, int, int]:
             2 * inter * out_c,
         )
     step, in_dim, out_dim = config.step, config.in_dim, config.out_dim
-    if kind is LayerKind.GRU:
+    if kind is _GRU:
         param_size = 3 * out_dim * (in_dim + out_dim + 1)
         memory = (step * in_dim, step * out_dim, 3 * step * out_dim)
     else:
@@ -375,46 +386,42 @@ def _n_features(kind: LayerKind) -> int:
     return len(_FIELDS_BY_KIND[kind]) + len(_MEMORY_FEATURES)
 
 
-def _row_values(config: StructureConfig) -> list[float]:
-    """Feature values, then explanatory values, of a configuration from one derivation.
+def _split_row(config: StructureConfig) -> tuple[list[float], list[float]]:
+    """``(features, explanatory)`` of a configuration, from one derivation.
 
     Raises ``ValueError`` when a field or a derived size does not fit a float.
     """
     mem_in, mem_out, mem_inter, param_size, flops = _derived(config)
     kind = config.kind
-    # each row: structural fields, the memory features, then the explanatory
+    # features: structural fields, then the memory features; explanatory:
     # flops, mem and param_size (and step, for recurrent kinds)
     try:
-        if kind is LayerKind.CNN:
+        if kind is _CNN:
             return [
                 float(config.in_height), float(config.in_width),
                 float(config.kernel_height), float(config.kernel_width),
                 float(config.in_channel), float(config.out_channel),
                 float(PADDING_CODES[config.padding]), float(config.stride),
                 float(mem_in), float(mem_out), float(mem_inter), float(param_size),
-                float(flops), float(mem_in + mem_out + mem_inter), float(param_size),
-            ]
-        if kind is LayerKind.FC:
+            ], [float(flops), float(mem_in + mem_out + mem_inter), float(param_size)]
+        if kind is _FC:
             return [
                 float(config.in_dim), float(config.out_dim),
                 float(mem_in), float(mem_out), float(mem_inter), float(param_size),
-                float(flops), float(mem_in + mem_out + mem_inter), float(param_size),
-            ]
+            ], [float(flops), float(mem_in + mem_out + mem_inter), float(param_size)]
         step = float(config.step)
         return [
             float(config.in_dim), float(config.out_dim), step,
             float(mem_in), float(mem_out), float(mem_inter), float(param_size),
-            float(flops), float(mem_in + mem_out + mem_inter), float(param_size), step,
-        ]
+        ], [float(flops), float(mem_in + mem_out + mem_inter), float(param_size), step]
     except OverflowError:
         raise _too_large(kind) from None
 
 
-def _split_row(config: StructureConfig) -> tuple[list[float], list[float]]:
-    """``(features, explanatory)`` of a configuration, from one :func:`_row_values` call."""
-    values = _row_values(config)
-    n = _n_features(config.kind)
-    return values[:n], values[n:]
+def _row_values(config: StructureConfig) -> list[float]:
+    """Feature values, then explanatory values, of a configuration: :func:`_split_row` joined."""
+    features, explanatory = _split_row(config)
+    return features + explanatory
 
 
 def _too_large(kind: LayerKind) -> ValueError:

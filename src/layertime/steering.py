@@ -17,14 +17,11 @@ expensive and side-effect-free; the search invokes the evaluator at most
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .layers import (
     RECURRENT_KINDS,
@@ -45,11 +42,12 @@ from .layers import derive_explanatory, derive_features  # noqa: F401
 from .nnls import NumericError
 from .tree import (
     FORMAT_VERSION,
-    ConditionKind,
+    _RANGE,
     TimeModel,
     _check_version,
     _dump,
     _holds,
+    _leaf_time,
     _model_for,
     _parse_json,
     _route,
@@ -140,6 +138,17 @@ class NetworkSpec:
         return len(self.layers)
 
 
+def _network(layers: tuple[StructureConfig, ...]) -> NetworkSpec:
+    """A network of layers whose shared widths the caller has just made agree.
+
+    It skips the check of ``NetworkSpec.__post_init__``, which would only
+    repeat the caller's.
+    """
+    net = object.__new__(NetworkSpec)
+    object.__setattr__(net, "layers", layers)
+    return net
+
+
 @dataclass(frozen=True, slots=True)
 class AcceptedExpansion:
     """One committed rounding, with the two node predictions that allowed it."""
@@ -189,16 +198,29 @@ def _obeys_trail(trail: list, features: Sequence[float]) -> bool:
 def _walk_once(
     model: TimeModel, config: StructureConfig, original: StructureConfig
 ) -> tuple[StructureConfig, list[AcceptedExpansion]]:
+    """One walk of ``config`` from its own derivation: :func:`_walk` without the row."""
+    return _walk(model, config, original, _split_row(config))[:2]
+
+
+def _walk(
+    model: TimeModel, config: StructureConfig, original: StructureConfig, row: tuple[list, list]
+) -> tuple[StructureConfig, list[AcceptedExpansion], tuple[list, list]]:
+    """One walk from the root, rounding widths toward cheaper multiples.
+
+    ``row`` is ``config``'s ``(features, explanatory)``.  Returns the walked
+    config, the roundings committed, and the walked config's row, which the
+    next walk starts from.  A walk that commits nothing returns ``config``
+    itself.
+    """
     current = config
-    # routed on the Python floats of one derivation, priced on its explanatory array
-    f, x = _split_row(current)
-    x = np.array(x)
+    # routed and priced on the Python floats of one derivation
+    f, x = row
     trail: list = []
     accepted: list[AcceptedExpansion] = []
     node = model.root
     while node.condition is not None:
         cond = node.condition
-        if cond.kind is ConditionKind.RANGE:
+        if cond.kind is _RANGE:
             truth = _holds(cond.kind, cond.tau, f[cond.feature_index])
             trail.append((cond, truth))
             node = node.left if truth else node.right
@@ -208,31 +230,23 @@ def _walk_once(
         target = tau * math.ceil(value / tau)
         if target == value:
             # already on the multiple: branch toward the cheaper sibling fit
-            expanded_time = float(node.left.fit.predict(x))
-            current_time = float(node.right.fit.predict(x))
+            expanded_time = _leaf_time(node.left.fit, x)
+            current_time = _leaf_time(node.right.fit, x)
             node = node.left if expanded_time <= current_time else node.right
             continue
         field = _width_at(model.kind, cond.feature_index)
         if field is not None and target <= _EXPANSION_CAP * getattr(original, field):
             candidate = _with_widths(current, **{field: target})
             f_hat, x_hat = _split_row(candidate)
-            x_hat = np.array(x_hat)
-            expanded_time = float(node.left.fit.predict(x_hat))
-            current_time = float(node.right.fit.predict(x))
+            expanded_time = _leaf_time(node.left.fit, x_hat)
+            current_time = _leaf_time(node.right.fit, x)
             if expanded_time <= current_time and _obeys_trail(trail, f_hat):
-                accepted.append(
-                    AcceptedExpansion(
-                        feature=field,
-                        tau=tau,
-                        expanded_time=expanded_time,
-                        current_time=current_time,
-                    )
-                )
+                accepted.append(AcceptedExpansion(field, tau, expanded_time, current_time))
                 current, f, x = candidate, f_hat, x_hat
                 node = node.left
                 continue
         node = node.right
-    return current, accepted
+    return current, accepted, (f, x)
 
 
 def expand_layer(
@@ -249,29 +263,25 @@ def expand_layer(
     :meth:`TimeModel.predict` rejects a config of another kind than the model's.
     """
     time_before = model.predict(config)
-    width_total = sum(getattr(config, name) for name in width_fields(config.kind))
+    in_field, out_field = width_fields(config.kind)
+    width_total = getattr(config, in_field) + getattr(config, out_field)
     current = config
+    row = _split_row(config)
     accepted: list[AcceptedExpansion] = []
     for _ in range(_EXPANSION_CAP * width_total + 1):
-        walked, walk_accepted = _walk_once(model, current, config)
-        if walked == current:
+        # every committed rounding grows a width, so a walk that commits
+        # nothing is the fixed point
+        current, walk_accepted, row = _walk(model, current, config, row)
+        if not walk_accepted:
             break
         accepted.extend(walk_accepted)
-        current = walked
     time_after = model.predict(current)
     reverted = time_after > time_before
     if reverted:
         current = config
         time_after = time_before
         accepted = []
-    entry = LayerExpansion(
-        original=config,
-        expanded=current,
-        time_before=time_before,
-        time_after=time_after,
-        accepted=tuple(accepted),
-        reverted=reverted,
-    )
+    entry = LayerExpansion(config, current, time_before, time_after, tuple(accepted), reverted)
     return current, entry
 
 
@@ -286,23 +296,32 @@ def expand_network(
     changes, and the choice with the smaller network total is kept.  The
     result is adjacency-consistent and never predicts slower in total than
     the input network.
+
+    The fixed point is per layer: each entry's expansion is one that
+    :func:`expand_layer` leaves unchanged, but a conflict can move a shared
+    width off it, so expanding the result again may change it.
     """
     entries = tuple(
         expand_layer(_model_for(model_map, layer.kind), layer)[1] for layer in net.layers
     )
     expanded, conflicts, _ = _reconcile(
-        entries, lambda config: _model_for(model_map, config.kind).predict(config)
+        entries,
+        lambda config: _model_for(model_map, config.kind).predict(config),
+        _shared_widths(net.layers),
     )
     trace = ExpansionTrace(entries=entries, conflicts=conflicts, reverted=expanded is None)
     return (net if expanded is None else expanded), trace
 
 
 def _reconcile(
-    entries: Sequence[LayerExpansion], price: Callable[[StructureConfig], float]
+    entries: Sequence[LayerExpansion],
+    price: Callable[[StructureConfig], float],
+    junctions: Sequence[tuple[int, str, str]],
 ) -> tuple[NetworkSpec | None, tuple[ConflictResolution, ...], list[float]]:
     """Resolve the width conflicts between expanded neighbours, in layer order.
 
-    ``price`` gives a configuration's predicted time.  Returns the
+    ``price`` gives a configuration's predicted time, and ``junctions`` are
+    the layers' :func:`_shared_widths`.  Returns the
     reconciled network, or ``None`` when it predicts slower in total than
     the unexpanded layers, together with the conflicts met on the way and
     the per-layer times of the network returned (of the unexpanded layers
@@ -312,7 +331,7 @@ def _reconcile(
     times = [entry.time_after for entry in entries]
 
     conflicts: list[ConflictResolution] = []
-    for i, out_field, in_field in _shared_widths(configs):
+    for i, out_field, in_field in junctions:
         upstream = getattr(configs[i], out_field)
         downstream = getattr(configs[i + 1], in_field)
         if upstream == downstream:
@@ -336,7 +355,7 @@ def _reconcile(
     times_before = [entry.time_before for entry in entries]
     if sum(times) > sum(times_before):
         return None, tuple(conflicts), times_before
-    return NetworkSpec(tuple(configs)), tuple(conflicts), times
+    return _network(tuple(configs)), tuple(conflicts), times
 
 
 def network_time(model_map: Mapping[LayerKind, TimeModel], net: NetworkSpec) -> float:
@@ -495,6 +514,11 @@ class _BudgetExhausted(Exception):
     pass
 
 
+def _layer_key(layers: Sequence[StructureConfig]) -> int:
+    """The objective's cache key of a network: the hash of its layers' hashes."""
+    return hash(tuple(map(hash, layers)))
+
+
 class _Objective:
     """Caching, budget-limited view of the compression objective."""
 
@@ -504,8 +528,11 @@ class _Objective:
         self.lam = lam
         self.budget = budget
         self.calls = 0
-        # frozen configs make networks hashable, with field-wise equality
-        self.cache: dict[NetworkSpec, float] = {}
+        # keyed on _layer_key, so a lookup and its store hash the network once;
+        # each slot keeps its network, and a second network of the same key
+        # goes to ``collided``
+        self.cache: dict[int, tuple[NetworkSpec, float]] = {}
+        self.collided: dict[NetworkSpec, float] = {}
         self.prices: dict[StructureConfig, float] = {}
 
     # one dict lookup per hit, so a hit hashes its key once
@@ -517,9 +544,20 @@ class _Objective:
             self.prices[config] = predicted
         return predicted
 
-    def __call__(self, net: NetworkSpec, times: Sequence[float] | None = None) -> float:
-        """The objective of ``net``; ``times``, if given, are its layers' prices."""
-        value = self.cache.get(net)
+    def __call__(
+        self, net: NetworkSpec, times: Sequence[float] | None = None, key: int | None = None
+    ) -> float:
+        """The objective of ``net``.
+
+        ``times``, if given, are its layers' prices, and ``key``, if given,
+        is its :func:`_layer_key`.
+        """
+        if key is None:
+            key = _layer_key(net.layers)
+        slot = self.cache.get(key)
+        if slot is not None and slot[0].layers == net.layers:
+            return slot[1]
+        value = None if slot is None else self.collided.get(net)
         if value is None:
             if self.calls >= self.budget:
                 raise _BudgetExhausted
@@ -527,7 +565,10 @@ class _Objective:
             if times is None:
                 times = (self.price(c) for c in net.layers)
             value = _score(self.evaluator(net), self.lam, times)
-            self.cache[net] = value
+            if slot is None:
+                self.cache[key] = net, value
+            else:
+                self.collided[net] = value
         return value
 
 
@@ -543,18 +584,25 @@ def _check_grid(net: NetworkSpec, width_grid: Sequence[Sequence[int]]) -> list[l
     return grids
 
 
+@functools.lru_cache(maxsize=128)
+def _width_plan(kinds: tuple[LayerKind, ...]) -> tuple[tuple[str, str | None], ...]:
+    """Per layer: its output width field, and the next layer's input field if they share it."""
+    next_inputs = {i: in_field for i, _, in_field in _junctions(kinds)}
+    return tuple((width_fields(kind)[1], next_inputs.get(i)) for i, kind in enumerate(kinds))
+
+
 def _apply_widths(net: NetworkSpec, widths: Sequence[int]) -> NetworkSpec:
     layers = list(net.layers)
-    next_inputs = {i: in_field for i, _, in_field in _shared_widths(layers)}
+    plan = _width_plan(tuple([layer.kind for layer in layers]))
     for i, width in enumerate(widths):
-        out_field = width_fields(layers[i].kind)[1]
+        out_field, next_input = plan[i]
         # a valid network already gives a shared next input this width too
         if getattr(layers[i], out_field) == width:
             continue
         layers[i] = _with_widths(layers[i], **{out_field: width})
-        if i in next_inputs:
-            layers[i + 1] = _with_widths(layers[i + 1], **{next_inputs[i]: width})
-    return NetworkSpec(tuple(layers))
+        if next_input is not None:
+            layers[i + 1] = _with_widths(layers[i + 1], **{next_input: width})
+    return _network(tuple(layers))
 
 
 def _current_widths(net: NetworkSpec) -> list[int]:
@@ -611,27 +659,31 @@ def greedy_compress(
 
 
 def _width_tables(
-    model_map: Mapping[LayerKind, TimeModel], net: NetworkSpec, grids: list[list[int]]
-) -> list[tuple[int | None, dict[tuple[int | None, int], LayerExpansion]]]:
+    model_map: Mapping[LayerKind, TimeModel],
+    net: NetworkSpec,
+    grids: list[list[int]],
+    links: Mapping[int, tuple[str, str]],
+) -> list[dict[int | None, list[tuple[int, LayerExpansion, int]]]]:
     """Expansion of each layer under every width pair ``_apply_widths`` gives it.
 
     Layer i depends only on ``w[i]`` and, when it shares its input width
-    with layer ``j = i - 1``, on ``w[j]``.  One ``(j, table)`` per layer;
-    the table is keyed on ``(w[j], w[i])``, or on ``(None, w[i])`` with
-    ``j = None`` when the input width is not shared.
+    with layer ``i - 1`` (``i in links``), on ``w[i - 1]``.  One table per
+    layer maps that source width (``None`` when the input width is not
+    shared) to a row of ``(w[i], expansion, hash of the expanded config)``
+    in grid order.
     """
     tables = []
-    sources = {i + 1: i for i, _, _ in _shared_widths(net.layers)}
     for i, layer in enumerate(net.layers):
         model = _model_for(model_map, layer.kind)
         in_field, out_field = width_fields(layer.kind)
-        j = sources.get(i)
         table = {}
-        for w_in in [None] if j is None else grids[j]:
+        for w_in in grids[i - 1] if i in links else [None]:
+            row = table[w_in] = []
             for w_out in grids[i]:
-                changes = {out_field: w_out} if j is None else {in_field: w_in, out_field: w_out}
-                table[w_in, w_out] = expand_layer(model, _with_widths(layer, **changes))[1]
-        tables.append((j, table))
+                changes = {out_field: w_out} if w_in is None else {in_field: w_in, out_field: w_out}
+                entry = expand_layer(model, _with_widths(layer, **changes))[1]
+                row.append((w_out, entry, hash(entry.expanded)))
+        tables.append(table)
     return tables
 
 
@@ -642,14 +694,24 @@ def brute_force_compress(
     lam: float,
     width_grid: Sequence[Sequence[int]],
 ) -> NetworkSpec:
-    """Exact grid minimizer of the compression objective (test oracle).
+    """Best expanded width combination of the grid (test oracle).
 
     Every width combination is expanded before scoring, exactly as
-    ``expand_network`` would expand it; ties go to the lexicographically
-    smallest widths.  Each layer is expanded once per width pair it can
-    take, and the objective never predicts a configuration that a table
-    entry already priced: each combination is scored from the layer times
-    that reconciling its entries settled on.
+    ``expand_network`` would expand it, and only that expanded form (the
+    combination itself when its expansion reverts) is scored; ties go to
+    the lexicographically smallest widths.  This is the grid's exact
+    minimizer when expanding never worsens the objective, as for a loss
+    that never grows with width.  For a loss that grows with width an
+    unexpanded combination can score lower, and ``greedy_compress``, which
+    scores its moves unexpanded, can then end below this search.
+
+    Each layer is expanded once per width pair it can take, and the
+    objective never predicts a configuration that a table entry already
+    priced: each combination is scored from the layer times that
+    reconciling its entries settled on.  The combinations are walked as a
+    prefix tree, so each entry is looked up and each junction checked once
+    per prefix; only a combination whose entries conflict or revert goes
+    through the conflict pass.
     """
     lam = _number("lam", lam, 0)
     grids = _check_grid(net, width_grid)
@@ -657,27 +719,73 @@ def brute_force_compress(
     if total > 1_000_000:
         raise ValueError(f"search space of {total} candidates is too large")
     objective = _Objective(evaluator, model_map, lam, budget=math.inf)
-    tables = _width_tables(model_map, net, grids)
+    junctions = _shared_widths(net.layers)
+    # layer i + 1 shares its input width with layer i's output
+    links = {i + 1: (out_field, in_field) for i, out_field, in_field in junctions}
+    tables = _width_tables(model_map, net, grids, links)
     # expand_layer already predicted both ends of every entry, so only a
     # conflict's re-priced layer can reach a model
-    for _, table in tables:
-        for entry in table.values():
-            objective.prices[entry.original] = entry.time_before
-            objective.prices[entry.expanded] = entry.time_after
+    for table in tables:
+        for row in table.values():
+            for _, entry, _ in row:
+                objective.prices[entry.original] = entry.time_before
+                objective.prices[entry.expanded] = entry.time_after
     # every objective is finite, and the grids are not empty, so some combination wins
     best_value, best = math.inf, net
-    for widths in itertools.product(*grids):
-        entries = [
-            table[None if j is None else widths[j], width]
-            for (j, table), width in zip(tables, widths)
-        ]
-        expanded, _, times = _reconcile(entries, objective.price)
-        if expanded is None:
-            expanded = _apply_widths(net, widths)
-        value = objective(expanded, times)
+    for cells, layers, keys, after, before, agree in _combinations(tables, links):
+        # the conflict pass keeps agreeing entries unless their total reverts;
+        # summed by sum(), as it sums, since sum() of floats is compensated
+        # from Python 3.12 on and a running sum would not keep its bits there
+        if agree and sum(after) <= sum(before):
+            candidate = _network(layers)
+            # hash(keys) is the _layer_key of layers, from the tables' hashes
+            value = objective(candidate, after, hash(keys))
+        else:
+            candidate, _, times = _reconcile([c[1] for c in cells], objective.price, junctions)
+            if candidate is None:
+                candidate = _apply_widths(net, [c[0] for c in cells])
+            value = objective(candidate, times)
         if value < best_value:
-            best_value, best = value, expanded
+            best_value, best = value, candidate
     return best
+
+
+def _combinations(
+    tables: list[dict[int | None, list[tuple[int, LayerExpansion, int]]]],
+    links: Mapping[int, tuple[str, str]],
+    i: int = 0,
+    prefix: tuple = ((), (), (), (), (), True),
+) -> Iterator[tuple]:
+    """Every combination of the width tables' cells, in the order of ``itertools.product``.
+
+    A combination is ``(cells, layers, keys, after, before, agree)``: its
+    cells, its entries' expanded configs and their hashes, its entries'
+    times after and before expansion, and whether the expanded configs agree
+    on every junction.  ``links`` maps a layer to the (output, input) fields
+    it shares with the layer before.  The walk is depth first, so each
+    prefix is built, and each of its junctions checked, once.
+    """
+    if i == len(tables):
+        yield prefix  # an empty network's one combination
+        return
+    cells, layers, keys, after, before, agree = prefix
+    link = links.get(i)
+    last = i + 1 == len(tables)
+    for cell in tables[i][cells[-1][0] if link else None]:
+        entry = cell[1]
+        expanded = entry.expanded
+        combination = (
+            cells + (cell,),
+            layers + (expanded,),
+            keys + (cell[2],),
+            after + (entry.time_after,),
+            before + (entry.time_before,),
+            agree and (link is None or getattr(layers[-1], link[0]) == getattr(expanded, link[1])),
+        )
+        if last:
+            yield combination
+        else:
+            yield from _combinations(tables, links, i + 1, combination)
 
 
 def rnn_time_floor(model: TimeModel, net: NetworkSpec) -> float:

@@ -152,7 +152,7 @@ def _assert_finite_json(path: Path, argv: list[str]) -> None:
 
 
 @pytest.mark.parametrize("command", list(_FLAGS))
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, deadline=None, print_blob=True)
 @given(data=st.data())
 def test_any_argv_keeps_the_exit_code_contract(inputs, command, data):
     template = data.draw(argvs(command), label="argv")

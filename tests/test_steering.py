@@ -938,6 +938,60 @@ def test_brute_force_keeps_a_reverted_candidate_unexpanded():
     assert net in calls["table"] and calls["table"] == calls["reference"]
 
 
+def alignment_instance(seed):
+    """Three 24x24 CNN layers under the default oracle, whose alignment nodes make
+    neighbouring expansions disagree on shared widths unless both are multiples of 4."""
+    models, chain = default_oracle_chain()
+    rng = np.random.default_rng(seed)
+    grids = [
+        sorted({*(4 * int(w) for w in rng.integers(1, 33, size=2)), int(rng.integers(4, 129))})
+        for _ in range(3)
+    ]
+    return models, NetworkSpec(chain.layers[3 * seed: 3 * seed + 3]), grids
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        *(lambda seed=seed: alignment_instance(seed) for seed in range(4)),
+        lambda: (reverting_fc_model(), NetworkSpec((fc(5, 13), fc(13, 1))), [[12, 13], [1, 2]]),
+    ],
+    ids=[*(f"alignment-{seed}" for seed in range(4)), "reverting"],
+)
+def test_brute_force_fallback_matches_the_per_candidate_reference(monkeypatch, instance):
+    # only a combination whose entries conflict or revert takes the conflict
+    # pass, and only a reverting one is rebuilt unexpanded
+    models, net, grids = instance()
+    expected_reconciles = expected_reverts = 0
+    for widths in itertools.product(*grids):
+        _, trace = reference_expand_network(models, steering._apply_widths(net, widths))
+        expected_reconciles += bool(trace.conflicts) or trace.reverted
+        expected_reverts += trace.reverted
+    # both paths are taken
+    assert 0 < expected_reconciles < math.prod(map(len, grids))
+    counts = {"_reconcile": 0, "_apply_widths": 0}
+    for name in counts:
+        def counting(*args, original=getattr(steering, name), name=name):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(steering, name, counting)
+    calls = {"walk": [], "reference": []}
+
+    def loss(name):
+        def evaluator(network):
+            calls[name].append(network)
+            return width_loss([30.0] * len(network))(network)
+
+        return evaluator
+
+    result = brute_force_compress(loss("walk"), models, net, 1.0, grids)
+    assert counts == {"_reconcile": expected_reconciles, "_apply_widths": expected_reverts}
+    expected = reference_brute_force(loss("reference"), models, net, 1.0, grids)
+    assert save_network(result) == save_network(expected)
+    assert calls["walk"] == calls["reference"]
+
+
 def test_chain_trace_matches_the_reference_conflict_pass():
     models, net = default_oracle_chain()
     expanded, trace = expand_network(models, net)
@@ -1081,6 +1135,25 @@ def test_a_memo_hit_hashes_its_key_once(monkeypatch, reference_model):
     assert objective(net) == first
     assert len(hashes) == 3 + len(net.layers)
     assert objective.calls == 1
+
+
+def test_a_miss_hashes_each_layer_once_and_colliding_keys_stay_apart(monkeypatch, reference_model):
+    models = {LayerKind.CNN: reference_model}
+    nets = [NetworkSpec((cnn(24, 24, 3, 3, 8, width),)) for width in (16, 32, 48)]
+    objective = steering._Objective(lambda net: net.layers[0].out_channel, models, 0.0, budget=10)
+    for net in nets:  # every layer priced already, so only the key hashes
+        objective.price(net.layers[0])
+    hashes = []
+    config_hash = StructureConfig.__hash__
+    monkeypatch.setattr(
+        StructureConfig, "__hash__", lambda self: hashes.append(self) or config_hash(self)
+    )
+    assert objective(nets[0], [1.0]) == 16.0
+    assert hashes == [nets[0].layers[0]]
+    # three networks under one key: each is evaluated once and keeps its own value
+    for _ in range(2):
+        assert [objective(net, [1.0], key=7) for net in nets] == [16.0, 32.0, 48.0]
+    assert objective.calls == 4
 
 
 def test_steering_value_types_are_slotted(reference_model):

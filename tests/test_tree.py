@@ -614,6 +614,51 @@ def test_predict_derives_once(monkeypatch, reference_model):
         assert len(calls) == n
 
 
+_WEIGHTS = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=1e300, allow_nan=False, allow_infinity=False),
+    st.floats(min_value=0.0, max_value=1e3, allow_nan=False, allow_infinity=False),
+)
+_SIZES = st.one_of(st.integers(0, 2**53), st.integers(0, 2**20)).map(float)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), k=st.sampled_from([3, 4]), b=_WEIGHTS)
+def test_one_row_leaf_law_is_bit_identical_to_the_matrix_law(data, k, b):
+    w = data.draw(st.lists(_WEIGHTS, min_size=k, max_size=k), label="w")
+    x = data.draw(st.lists(_SIZES, min_size=k, max_size=k), label="x")
+    fit = LinearFit(w=np.array(w), b=b, n=0, mape=0.0, mse=0.0)
+    expected = float(fit.predict(np.array(x))).hex()
+    # the rows the price and the walk pass are lists of Python floats
+    assert tree._leaf_time(fit, x).hex() == expected
+    assert tree._leaf_time(fit, np.array(x)).hex() == expected
+
+
+def matrix_law_predict(model, config):
+    """``TimeModel.predict`` as it was before its leaf law moved to ``w.dot``: one-row ``@``."""
+    if config.kind is not model.kind:
+        raise ValueError(f"model fits {model.kind.value} layers, got {config.kind.value}")
+    features, explanatory = layers._split_row(config)
+    leaf = tree._route(model.root, features)
+    time = float(leaf.fit.predict(np.array(explanatory)))
+    if not np.isfinite(time):
+        raise NumericError(f"{model.kind.value} model predicts a non-finite time ({time})")
+    return time
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(list(LayerKind)), seed=st.integers(0, 2**32 - 1))
+def test_predict_is_bit_identical_to_the_matrix_law_predict(kind, seed):
+    from layertime.harness import default_oracle
+
+    rng = np.random.default_rng(seed)
+    for model in (random_tree_model(rng, kind), default_oracle().models[kind]):
+        for _ in range(20):
+            config = random_config(rng, kind)
+            assert model.predict(config).hex() == matrix_law_predict(model, config).hex()
+
+
 def feature_split_tree(rng, kind, features, depth=0):
     """A random tree over ``features``: range taus equal to feature values,
     and multiple conditions on every feature, zero-valued ones included."""
