@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -17,10 +18,13 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .layers import (
+    _FIELDS_BY_KIND,
     LayerKind,
     StructureConfig,
     _integer,
     _number,
+    _split_columns,
+    _split_row,
     cnn,
     config_from_dict,
     config_to_dict,
@@ -171,14 +175,19 @@ def save_plan(plan: Sequence[StructureConfig], path: str | Path) -> None:
     _write_records(path, map(config_to_dict, plan))
 
 
-def _records(path: str | Path) -> Iterator[tuple[str, object]]:
-    """``(f"{path}:{lineno}", record)`` for every non-blank line of a JSON-lines file."""
+def _lines(path: str | Path) -> Iterator[tuple[str, bytes]]:
+    """``(f"{path}:{lineno}", line)`` for every non-blank line of a JSON-lines file."""
     # bytes, so that a line that is not UTF-8 is reported with its location
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.strip():
-                where = f"{path}:{lineno}"
-                yield where, _parse_json(line, ProfileFormatError, where)
+                yield f"{path}:{lineno}", line
+
+
+def _records(path: str | Path) -> Iterator[tuple[str, object]]:
+    """``(f"{path}:{lineno}", record)`` for every non-blank line of a JSON-lines file."""
+    for where, line in _lines(path):
+        yield where, _parse_json(line, ProfileFormatError, where)
 
 
 def load_plan(path: str | Path) -> list[StructureConfig]:
@@ -359,14 +368,105 @@ def read_profile(path: str | Path) -> list[ProfileSample]:
 
 
 def ingest_profile(path: str | Path) -> dict[LayerKind, Dataset]:
-    """Per-kind datasets of a profile file, in kind order (CNN, FC, GRU, LSTM) in any line order."""
+    """Per-kind datasets of a profile file, in kind order (CNN, FC, GRU, LSTM) in any line order.
+
+    The file is read by column: each record's fields and time join its
+    kind's columns, and every record and config rule is checked on whole
+    columns.  A file that breaks a rule, or holds a size of ``2**53`` or
+    more, is read again record by record through :func:`read_profile`, so
+    it raises the same located error, or loads the same datasets.
+    """
+    datasets = _ingest_columns(path)
+    return _ingest_records(path) if datasets is None else datasets
+
+
+_SOURCES = frozenset({"measured", "synthetic"})
+# what ``bytes.strip`` strips, the test of a blank line in :func:`_lines`
+_ASCII_SPACE = " \t\n\r\x0b\x0c"
+
+
+def _ingest_columns(path: str | Path) -> dict[LayerKind, Dataset] | None:
+    """:func:`ingest_profile`'s datasets read by column, or ``None`` when a record
+    needs :func:`read_profile` to report it (or may load only through it)."""
+    columns = {
+        kind.value: ([], [], operator.itemgetter(*names), len(names))
+        for kind, names in _FIELDS_BY_KIND.items()
+    }
+    reps, sources, schemas = [], [], []
+    loads = json.loads
+    try:
+        # split at b"\n" alone, as the binary lines of _lines are
+        with open(path, encoding="utf-8", newline="\n") as fh:
+            for line in fh:
+                try:
+                    record = loads(line)
+                except (ValueError, RecursionError):
+                    if line.strip(_ASCII_SPACE):
+                        return None
+                    continue
+                try:
+                    rows, times, get_fields, n_fields = columns[record["layer_type"]]
+                    config = record["config"]
+                    rows.append(get_fields(config))
+                    times.append(record["time_ms"])
+                # not an object, an unknown kind, a missing field or a config that is not an object
+                except (KeyError, TypeError):
+                    return None
+                # the config holds exactly its kind's fields, the record only known ones
+                if len(config) != n_fields or not record.keys() <= _RECORD_KEYS:
+                    return None
+                reps.append(record.get("reps", 1))
+                sources.append(record.get("source", "measured"))
+                schemas.append(record.get("schema", _SCHEMA))
+    except UnicodeDecodeError:
+        return None
+    if reps:
+        try:
+            if not (
+                set(map(type, reps)) == {int} and min(reps) >= 1
+                and set(sources) <= _SOURCES
+                and set(map(type, schemas)) == {int} and set(schemas) == {_SCHEMA}
+            ):
+                return None
+        except TypeError:  # an unhashable source
+            return None
+    datasets = {}
+    for kind in sorted(_FIELDS_BY_KIND, key=lambda k: k.value):
+        rows, times, _, _ = columns[kind.value]
+        if not rows:
+            continue
+        split = _split_columns(kind, dict(zip(_FIELDS_BY_KIND[kind], zip(*rows))))
+        if split is None or not set(map(type, times)) <= {float, int}:
+            return None
+        try:
+            column = np.array(times, dtype=float)
+        except OverflowError:
+            return None
+        if not ((0 < column) & (column < math.inf)).all():
+            return None
+        datasets[kind] = Dataset(kind, *split, column)
+    return datasets
+
+
+def _ingest_records(path: str | Path) -> dict[LayerKind, Dataset]:
+    """:func:`ingest_profile` record by record: :func:`read_profile`, then one
+    :meth:`Dataset.from_records` per kind."""
     samples = read_profile(path)
     grouped: dict[LayerKind, tuple[list[StructureConfig], list[float]]] = {}
     for sample in samples:
         configs, times = grouped.setdefault(sample.config.kind, ([], []))
         configs.append(sample.config)
         times.append(sample.time_ms)
-    return {
-        kind: Dataset.from_records(kind, *grouped[kind])
-        for kind in sorted(grouped, key=lambda k: k.value)
-    }
+    try:
+        return {
+            kind: Dataset.from_records(kind, *grouped[kind])
+            for kind in sorted(grouped, key=lambda k: k.value)
+        }
+    except ValueError:
+        # a size too large for a float: name the first record that holds one
+        for (where, _), sample in zip(_lines(path), samples):
+            try:
+                _split_row(sample.config)
+            except ValueError as exc:
+                raise ProfileFormatError(f"{where}: {exc}") from exc
+        raise

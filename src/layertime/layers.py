@@ -13,6 +13,8 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -422,6 +424,81 @@ def _row_values(config: StructureConfig) -> list[float]:
     """Feature values, then explanatory values, of a configuration: :func:`_split_row` joined."""
     features, explanatory = _split_row(config)
     return features + explanatory
+
+
+#: Floats hold every integer below this exactly.
+_EXACT = 2.0**53
+
+# each padding text, as the code its feature holds
+_PADDING_BY_TEXT = {padding.value: float(code) for padding, code in PADDING_CODES.items()}
+
+
+def _split_columns(
+    kind: LayerKind, fields: Mapping[str, Sequence]
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """:func:`_split_row` of many configs at once, as ``(features, explanatory)`` matrices.
+
+    ``fields`` maps each field of ``kind`` to its column of raw values, one
+    per config, as a profile record holds them (padding as its text).  Row
+    ``i`` of each matrix is what :func:`_split_row` gives for config ``i``.
+    The result is ``None`` when the constructor might reject one of the
+    configs, or when a field or a derived size reaches ``2**53``.
+
+    The constructor's rules are checked on whole columns: exact ints >= 1,
+    padding text, stride 1 or 2 and the valid-padding fit.  Then
+    :func:`_derived` runs on float64 columns.  Float arithmetic on integers
+    is exact while each partial result stays below ``2**53``, and rounding
+    is monotone, so a size that would reach ``2**53`` reads at least that:
+    the one bound proves every value exact.  (int64 would wrap silently.)
+    """
+    names = _FIELDS_BY_KIND[kind]
+    columns = {}
+    try:
+        for name in names:
+            values = fields[name]
+            if name == "padding":
+                codes = map(_PADDING_BY_TEXT.__getitem__, values)
+                columns[name] = np.fromiter(codes, dtype=float, count=len(values))
+            elif set(map(type, values)) == {int}:
+                columns[name] = np.array(values, dtype=float)
+            else:
+                return None
+    # a padding that is not 'valid' or 'same', or an int too large for a float
+    except (KeyError, TypeError, OverflowError):
+        return None
+    counts = np.array([columns[name] for name in names if name != "padding"])
+    # counts below 2**53 are exact, and no product of a few of them overflows
+    if not (counts.min() >= 1 and counts.max() < _EXACT):
+        return None
+    parts: list = [(None, slice(None))]
+    if kind is _CNN:
+        stride, valid = columns["stride"], columns["padding"] == PADDING_CODES[_VALID]
+        if not (
+            ((stride == 1) | (stride == 2)).all()
+            and (columns["kernel_height"][valid] <= columns["in_height"][valid]).all()
+            and (columns["kernel_width"][valid] <= columns["in_width"][valid]).all()
+        ):
+            return None
+        # _conv_dims takes one padding, so each padding's rows derive apart
+        parts = [(padding, columns["padding"] == code) for padding, code in PADDING_CODES.items()]
+    derived = np.empty((5, counts.shape[1]))
+    for padding, rows in parts:
+        config = SimpleNamespace(
+            kind=kind, padding=padding,
+            **{name: columns[name][rows] for name in names if name != "padding"},
+        )
+        for out, values in zip(derived, _derived(config)):
+            out[rows] = values
+    mem_in, mem_out, mem_inter, param_size, flops = derived
+    explanatory = [flops, mem_in + mem_out + mem_inter, param_size]
+    if kind in RECURRENT_KINDS:
+        explanatory.append(columns["step"])
+    explanatory = np.column_stack(explanatory)
+    # the memory sum bounds each memory feature
+    if not explanatory.max() < _EXACT:
+        return None
+    features = np.column_stack([columns[name] for name in names] + list(derived[:4]))
+    return features, explanatory
 
 
 def _too_large(kind: LayerKind) -> ValueError:

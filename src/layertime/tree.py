@@ -23,12 +23,14 @@ import itertools
 import json
 import math
 from collections import deque
+from collections.abc import Sequence as _SequenceABC
 from dataclasses import asdict, dataclass, field, fields
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .layers import (
+    _EXACT,
     LayerKind,
     StructureConfig,
     _integer,
@@ -77,7 +79,7 @@ class ConditionKind(enum.Enum):
     MULTIPLE = "multiple"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Condition:
     """Split predicate on one feature.
 
@@ -212,7 +214,7 @@ class Dataset:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class LinearFit:
     """Non-negative linear model ``y = w . x + b`` with its training errors."""
 
@@ -271,7 +273,7 @@ class FitParams:
         object.__setattr__(self, "multiple_taus", taus)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Node:
     """One tree node: a fit, and for internal nodes a condition plus children."""
 
@@ -285,7 +287,7 @@ class Node:
         return self.condition is None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class TimeModel:
     """Immutable fitted execution-time model for one layer kind."""
 
@@ -319,11 +321,8 @@ class TimeModel:
         return sum(1 for _ in self.nodes())
 
     def route_features(self, features: np.ndarray) -> Node:
-        """Walk one feature row from the root to its unique leaf."""
-        node = self.root
-        while not node.is_leaf:
-            node = node.left if bool(node.condition.holds(features)) else node.right
-        return node
+        """The leaf that one feature row reaches, routed as :meth:`predict` routes."""
+        return _route(self.root, np.asarray(features, dtype=float).tolist())
 
     def predict(self, config: StructureConfig) -> float:
         """Predicted execution time in milliseconds for one configuration.
@@ -385,7 +384,7 @@ def nnls_fit(dataset: Dataset) -> LinearFit:
     coef = nnls(design, dataset.times)
     residual = design @ coef - dataset.times
     return LinearFit(
-        w=coef[:-1],
+        w=coef[:-1].copy(),  # a copy, so the fit keeps no view of the whole solution alive
         b=float(coef[-1]),
         n=n,
         mape=float(np.mean(np.abs(residual) / dataset.times)),
@@ -393,33 +392,87 @@ def nnls_fit(dataset: Dataset) -> LinearFit:
     )
 
 
-def _candidates(dataset: Dataset, params: FitParams) -> tuple[list[Condition], np.ndarray]:
+class _Candidates(_SequenceABC):
+    """The candidate conditions of a node, held as arrays.
+
+    Each :class:`Condition` is built when it is read, so a split search
+    builds only those of the contenders it refits.  It equals a list of the
+    same conditions, as the list it stands for would.
+    """
+
+    __slots__ = ("_features", "_taus", "_multiple")
+
+    def __init__(self, features: np.ndarray, taus: np.ndarray, multiple: np.ndarray) -> None:
+        self._features, self._taus, self._multiple = features, taus, multiple
+
+    def __len__(self) -> int:
+        return self._taus.shape[0]
+
+    def __getitem__(self, i: int) -> Condition:
+        kind = ConditionKind.MULTIPLE if self._multiple[i] else _RANGE
+        return Condition(int(self._features[i]), self._taus[i], kind)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, _Candidates)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
+def _multiple_masks(columns: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+    """``_holds(MULTIPLE, moduli[:, None, None], columns)`` for (features, rows) columns.
+
+    Columns of integers below ``2**53`` in magnitude, under moduli below it,
+    take int64 ``%``, which gives the booleans of the float ``%`` (exact on
+    such values) at a fraction of its cost; every other column takes
+    :func:`_holds`.
+    """
+    masks = np.empty((moduli.shape[0], *columns.shape), dtype=bool)
+    integral = np.zeros(columns.shape[0], dtype=bool)
+    if moduli.size and moduli.max() < _EXACT:
+        integral = ((columns == np.trunc(columns)) & (np.abs(columns) < _EXACT)).all(axis=1)
+        ints = columns[integral].astype(np.int64)
+        masks[:, integral] = ints % moduli.astype(np.int64)[:, None, None] == 0
+    masks[:, ~integral] = _holds(ConditionKind.MULTIPLE, moduli[:, None, None], columns[~integral])
+    return masks
+
+
+def _candidates(dataset: Dataset, params: FitParams) -> tuple[_Candidates, np.ndarray]:
     """Candidate split conditions of a node's data and their (candidates, rows) masks.
 
-    Per feature, the masks of all moduli and of all quantile thresholds
-    are each built in one comparison, and the sides are counted from them.
+    The masks of every varying feature are built at once: one (tau, feature,
+    row) array for the moduli and one for the quantile thresholds, counted
+    along the rows.  Candidates come feature by feature: the moduli in their
+    order, then the distinct thresholds in ascending order.
     """
     n = len(dataset)
-    conditions: list[Condition] = []
-    kept: list[np.ndarray] = [np.zeros((0, n), dtype=bool)]
     if n == 0:
-        return conditions, kept[0]
+        empty = _Candidates(np.zeros(0, dtype=int), np.zeros(0), np.zeros(0, dtype=bool))
+        return empty, np.zeros((0, 0), dtype=bool)
     features = dataset.features
+    varying = np.flatnonzero(features.min(axis=0) < features.max(axis=0))
+    columns = np.ascontiguousarray(features[:, varying].T)
     moduli = np.array(params.multiple_taus, dtype=float)
     quantile_levels = np.linspace(0.0, 1.0, params.range_quantiles + 2)[1:-1]
-    quantiles = np.quantile(features, quantile_levels, axis=0)
-    varying = features.min(axis=0) < features.max(axis=0)
-    for j in np.flatnonzero(varying):
-        column = features[:, j]
-        thresholds = np.unique(quantiles[:, j])
-        thresholds = thresholds[thresholds > 0]
-        for kind, taus in ((ConditionKind.MULTIPLE, moduli), (ConditionKind.RANGE, thresholds)):
-            masks = _holds(kind, taus[:, None], column)
-            n_left = masks.sum(axis=1)
-            passing = (params.min_leaf <= n_left) & (n_left <= n - params.min_leaf)
-            conditions.extend(Condition(int(j), taus[i], kind) for i in np.flatnonzero(passing))
-            kept.append(masks[passing])
-    return conditions, np.concatenate(kept)
+    # sorted per feature, so equal thresholds are neighbours: a threshold is
+    # usable once, where its run starts, and only above zero
+    thresholds = np.sort(np.quantile(features, quantile_levels, axis=0)[:, varying], axis=0)
+    usable = thresholds > 0
+    usable[1:] &= thresholds[1:] != thresholds[:-1]
+    masks = np.concatenate([
+        _multiple_masks(columns, moduli),
+        _holds(_RANGE, thresholds[:, :, None], columns),
+    ])
+    n_left = np.count_nonzero(masks, axis=2)
+    passing = (params.min_leaf <= n_left) & (n_left <= n - params.min_leaf)
+    passing[moduli.shape[0]:] &= usable
+    # (feature, candidate) pairs in feature-major order
+    feature, candidate = np.nonzero(passing.T)
+    taus = np.concatenate([np.broadcast_to(moduli[:, None], (moduli.shape[0], varying.size)),
+                           thresholds])
+    conditions = _Candidates(
+        varying[feature], taus[candidate, feature], candidate < moduli.shape[0]
+    )
+    return conditions, masks[candidate, feature]
 
 
 def enumerate_conditions(dataset: Dataset, params: FitParams) -> list[Condition]:
@@ -430,7 +483,7 @@ def enumerate_conditions(dataset: Dataset, params: FitParams) -> list[Condition]
     empirical quantiles.  Candidates leaving either side with fewer than
     ``min_leaf`` records are dropped, so the list may be empty.
     """
-    return _candidates(dataset, params)[0]
+    return list(_candidates(dataset, params)[0])
 
 
 def partition(dataset: Dataset, condition: Condition) -> tuple[Dataset, Dataset]:
