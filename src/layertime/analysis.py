@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace as dc_replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -47,11 +47,9 @@ __all__ = [
     "simplify_model",
 ]
 
-# default outer edge when verifying an unbounded region: four times the
-# largest channel count the profiling scope can produce
-_VERIFY_CAP = 1024.0
-
 _BISECT_TOL = 1e-6  # bisection stops once its bracket is this narrow, in channels
+# the farthest a crossing is sought, so that the bisection's lo + hi stays finite
+_FAR = 2.0**1022
 
 
 @dataclass(frozen=True)
@@ -309,8 +307,9 @@ def expansion_benefit(
 class ExpansionRegion:
     """Square channel region inside which an expansion always helps.
 
-    ``bound`` is the largest diagonal channel count with a provably
-    negative benefit: 0 marks an empty region, ``inf`` an unbounded one.
+    ``bound`` is the largest edge ``B`` of a square ``[1, B]^2`` with a
+    provably negative benefit: 0 marks an empty region, ``inf`` an
+    unbounded one.
     """
 
     contour: ChannelPolynomial
@@ -328,16 +327,48 @@ class ExpansionRegion:
         return not self.is_empty and 1 <= u <= self.bound and 1 <= v <= self.bound
 
 
-def _bisect_root(poly: ChannelPolynomial, lo: float, hi: float) -> float:
-    # invariant: diagonal(lo) < 0 <= diagonal(hi); returns the low end so
-    # the benefit stays strictly negative at the reported bound
+def _bisect_root(g: Callable[[float], float], lo: float, hi: float) -> float:
+    # invariant: g(lo) < 0; returns the low end so the benefit stays strictly
+    # negative at the reported bound.  Far out the float spacing exceeds the
+    # tolerance, so the search also stops once no float lies between the ends.
     while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        if poly.diagonal(mid) < 0:
+        if mid == lo or mid == hi:
+            break
+        if g(mid) < 0:
             lo = mid
         else:
             hi = mid
     return lo
+
+
+def _first_crossing(
+    g: Callable[[float], float], quadratic: float, slope: float, constant: float
+) -> float:
+    """First upward zero crossing past ``t = 1`` of ``g``, given ``g(1) < 0``.
+
+    ``g(t) = quadratic*t^2 + slope*t + constant`` has at most one such
+    crossing.  Returns its low end, 0 when it lies at or below 1, and
+    ``inf`` when ``g`` never crosses.  The search ends at ``_FAR``.
+    """
+    if quadratic > 0:
+        hi = 2.0
+        while g(hi) < 0:
+            if hi == _FAR:
+                return hi
+            hi *= 2.0
+        return _bisect_root(g, 1.0, hi)
+    if quadratic == 0:
+        if slope <= 0:
+            return math.inf
+        root = -constant / slope
+        if root <= 1.0:
+            return 0.0
+        return _bisect_root(g, 1.0, min(root + 1.0, _FAR))
+    vertex = -slope / (2.0 * quadratic)
+    if vertex <= 1.0 or g(vertex) < 0:
+        return math.inf
+    return _bisect_root(g, 1.0, min(vertex, _FAR))
 
 
 def safe_region(
@@ -348,56 +379,48 @@ def safe_region(
 ) -> ExpansionRegion:
     """Largest square ``[1, bound]^2`` on which the benefit stays negative.
 
-    The diagonal restriction ``a*c^2 + (b+c)*c + d`` has at most one
-    upward zero crossing past ``c = 1``; it is located by bisection.  A
-    benefit that is already non-negative at ``c = 1`` yields an empty
-    region, and one that never crosses zero yields an unbounded region.
+    The benefit is bilinear, so its maximum over a square lies at a corner,
+    and the square is safe exactly when the benefit is negative at its four
+    corners.  ``bound`` is therefore the first zero crossing past 1 of the
+    two edges ``f(1, t)`` and ``f(t, 1)``, both linear in ``t``, and of the
+    diagonal ``f(t, t)``, whichever comes first.  A benefit that is not
+    negative at ``(1, 1)`` yields an empty region, and one that crosses
+    on none of the three yields an unbounded region.
     """
-    a = benefit.a
-    slope = benefit.b + benefit.c
-
-    def make(bound: float) -> ExpansionRegion:
-        return ExpansionRegion(
-            contour=benefit, bound=bound, condition=condition, setting=setting, delta=delta
+    a, b, c, d = benefit.a, benefit.b, benefit.c, benefit.d
+    bound = 0.0
+    if benefit(1.0, 1.0) < 0:
+        bound = min(
+            _first_crossing(benefit.diagonal, a, b + c, d),
+            _first_crossing(lambda t: benefit(1.0, t), 0.0, a + c, b + d),
+            _first_crossing(lambda t: benefit(t, 1.0), 0.0, a + b, c + d),
         )
-
-    if benefit.diagonal(1.0) >= 0:
-        return make(0.0)
-    if a > 0:
-        hi = 2.0
-        while benefit.diagonal(hi) < 0:
-            hi *= 2.0
-            if hi > 1e15:
-                return make(math.inf)
-        return make(_bisect_root(benefit, 1.0, hi))
-    if a == 0:
-        if slope <= 0:
-            return make(math.inf)
-        root = -benefit.d / slope
-        if root <= 1.0:
-            return make(0.0)
-        return make(_bisect_root(benefit, 1.0, root + 1.0))
-    vertex = -slope / (2.0 * a)
-    if vertex <= 1.0 or benefit.diagonal(vertex) < 0:
-        return make(math.inf)
-    return make(_bisect_root(benefit, 1.0, vertex))
+    return ExpansionRegion(
+        contour=benefit,
+        bound=bound if bound > 1.0 else 0.0,
+        condition=condition,
+        setting=setting,
+        delta=delta,
+    )
 
 
-def verify_region(region: ExpansionRegion, grid: int = 32) -> ExpansionRegion:
-    """Check the sign property on a grid inside the claimed square.
+def verify_region(region: ExpansionRegion) -> ExpansionRegion:
+    """Certify exactly that the benefit is negative on the claimed square.
 
-    The benefit must be strictly negative at every sampled (u, v) point;
-    any failure demotes the region to empty.  Unbounded regions are
-    checked out to a fixed practical edge.  ``grid`` must be an integer >= 1.
+    A finite square ``[1, B]^2`` is certified by the benefit's sign at its
+    four corners, where a bilinear function takes its maximum.  An
+    unbounded one is certified by ``f(1, 1) < 0`` with ``a <= 0``,
+    ``a + b <= 0`` and ``a + c <= 0``, under which the benefit never grows
+    along either axis.  Any failure, a NaN corner included, demotes the
+    region to empty.
     """
-    grid = _integer("grid", grid, 1)
-    if region.bound <= 1.0:
-        # the square [1, bound]^2 holds no whole-channel points
-        return dc_replace(region, bound=0.0, verified=False)
-    edge = min(region.bound, _VERIFY_CAP)
-    points = np.linspace(1.0, edge, grid, endpoint=False)
-    u, v = np.meshgrid(points, points)
-    if not (region.contour(u, v) < 0).all():
+    f, bound = region.contour, region.bound
+    if bound == math.inf:
+        safe = f(1.0, 1.0) < 0 and f.a <= 0 and f.a + f.b <= 0 and f.a + f.c <= 0
+    else:
+        # a square [1, bound]^2 with bound <= 1 holds no whole-channel points
+        safe = bound > 1.0 and all(f(u, v) < 0 for u in (1.0, bound) for v in (1.0, bound))
+    if not safe:
         return dc_replace(region, bound=0.0, verified=False)
     return dc_replace(region, verified=True)
 

@@ -159,7 +159,7 @@ def test_criterion_3_channel_polynomial_reproduction():
 
 
 def test_criterion_4_safe_region_derivation():
-    with criterion(4, "safe-expansion region root and grid verification"):
+    with criterion(4, "safe-expansion region root and exact four-corner verification"):
         fits = (
             LinearFit(w=np.asarray(W_TRUE), b=B_TRUE, n=0, mape=0.0, mse=0.0),
             LinearFit(w=np.asarray(W_FALSE), b=B_FALSE, n=0, mape=0.0, mse=0.0),
@@ -168,10 +168,12 @@ def test_criterion_4_safe_region_derivation():
         assert benefit.a > 0 and benefit.d < 0  # exactly one positive crossing
         region = verify_region(safe_region(benefit))
         assert region.verified and not region.is_empty
-        # exhaustive sign check on the full verification grid
-        points = np.linspace(1.0, region.bound, 32, endpoint=False)
+        # sign check on a grid that reaches the square's edges, and at its four corners
+        points = np.linspace(1.0, region.bound, 32, endpoint=True)
         u, v = np.meshgrid(points, points)
         assert (benefit.a * u * v + benefit.b * u + benefit.c * v + benefit.d < 0).all()
+        corners = [(1.0, 1.0), (1.0, region.bound), (region.bound, 1.0), (region.bound,) * 2]
+        assert all(benefit(u, v) < 0 for u, v in corners)
         assert 0.7 * 1288 <= region.bound <= 1.4 * 1288
 
 

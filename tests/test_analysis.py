@@ -5,10 +5,11 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -34,6 +35,7 @@ from layertime.analysis import (
     simplify_model,
     verify_region,
 )
+from layertime.harness import default_oracle
 from layertime.layers import LayerKind, cnn, derive_explanatory, fc, feature_names
 from layertime.tree import Condition, ConditionKind, Dataset, LinearFit
 
@@ -381,12 +383,72 @@ def test_verification_demotes_overclaimed_bound():
     assert verify_region(inflated).is_empty
 
 
-@pytest.mark.parametrize("grid", [0, -1, 1.5, True])
-def test_verification_needs_an_integer_grid_of_at_least_one(grid):
-    # a region whose benefit is negative everywhere, so an empty grid would pass it
-    region = safe_region(ChannelPolynomial(0.0, 0.0, 0.0, -1.0))
-    with pytest.raises(ValueError, match="grid"):
-        verify_region(region, grid=grid)
+def corners(region):
+    bound = region.bound
+    return [region.contour(u, v) for u in (1.0, bound) for v in (1.0, bound)]
+
+
+def test_region_off_the_diagonal_keeps_every_corner_negative():
+    # the diagonal crosses zero at 1.6401, but f(1, t) already does at 1.6393
+    benefit = ChannelPolynomial(1.0347, -1.6984, 0.00144, -1.0e-4)
+    region = verify_region(safe_region(benefit))
+    assert region.verified and 1.639 < region.bound < 1.6394
+    assert all(value < 0 for value in corners(region))
+    assert benefit(1.0, region.bound + 2e-6) > 0
+
+
+def test_default_oracle_region_bounded_by_its_edge_is_kept():
+    # the diagonal bound is not safe here, since f(1, B) > 0; the edge's crossing is
+    model = default_oracle().models[LayerKind.CNN]
+    setting = ConvGeometry(64, 64, 5, 5, 1, "same")
+    cond = model.root.condition
+    benefit = expansion_benefit(
+        model.root.left.fit, model.root.right.fit, setting, cond.tau - 1, axis="in_channel"
+    )
+    region = verify_region(safe_region(benefit, condition=cond, setting=setting))
+    assert region.verified
+    assert region.bound == pytest.approx(257.3, abs=0.05)
+    assert all(value < 0 for value in corners(region))
+
+
+_MAGNITUDES = st.one_of(st.just(0.0), st.floats(1e-6, 1e2), st.floats(1e299, 1e301))
+_COEFFICIENTS = st.tuples(_MAGNITUDES, st.booleans()).map(lambda m: -m[0] if m[1] else m[0])
+
+
+@given(st.tuples(_COEFFICIENTS, _COEFFICIENTS, _COEFFICIENTS, _COEFFICIENTS))
+@example((1.0347, -1.6984, 0.00144, -1.0e-4))
+@example((0.0, 0.0, 1.0, -1.0000001))  # a crossing closer to 1 than the tolerance
+@example((1e-24, 0.0, 0.0, -1.0))  # a crossing where the float spacing exceeds the tolerance
+@example((1e-40, -1.0, -1.0, -1.0))  # a crossing near 2e40, past any fixed search edge
+@example((1e-6, -1e300, -1e300, -1.0))  # a NaN corner, from inf - inf, just past the bound
+@settings(max_examples=1000, deadline=None)
+def test_every_region_is_certified_by_its_four_corners(coefficients):
+    benefit = ChannelPolynomial(*coefficients)
+    a, b, c, d = coefficients
+    if verify_region(ExpansionRegion(contour=benefit, bound=math.inf)).verified:
+        # the unbounded certificate: in exact arithmetic, f never exceeds f(1, 1)
+        exact = ChannelPolynomial(*map(Fraction, coefficients))
+        far = Fraction(10) ** 300
+        assert all(exact(u, v) <= exact(1, 1) for u in (1, far) for v in (1, far))
+    region = safe_region(benefit)
+    if region.is_empty:
+        return
+    assert benefit(1.0, 1.0) < 0
+    assert verify_region(region) == dataclasses.replace(region, verified=True)
+    assert math.isinf(region.bound) == (a <= 0 and a + b <= 0 and a + c <= 0)
+    if math.isinf(region.bound):
+        return
+    assert all(value < 0 for value in corners(region))
+    if region.bound >= 2.0**1021:
+        return  # the search stopped short of a crossing near the largest floats
+    # past the bisection's last bracket, some corner is no longer negative, up
+    # to the rounding of two evaluations of the polynomial
+    beyond = max(region.bound + 2e-6, region.bound * (1 + 1e-15))
+    grown = ExpansionRegion(contour=benefit, bound=beyond)
+    slack = 4e-15 * (abs(a) * beyond * beyond + (abs(b) + abs(c)) * beyond + abs(d))
+    assert not all(value < -slack for value in corners(grown))
+    # the certificate is the sign at the four corners, and a NaN corner fails it
+    assert verify_region(grown).verified == all(value < 0 for value in corners(grown))
 
 
 # --- simplified models --------------------------------------------------------

@@ -272,6 +272,30 @@ def test_analyze_writes_infinite_values_as_null(tmp_path, capsys):
     assert "bound inf" in capsys.readouterr().out
 
 
+def test_analyze_returns_on_a_crossing_far_past_the_bisection_tolerance(tmp_path):
+    # the benefit crosses zero near 1e13, where floats lie further apart than
+    # the bisection tolerance; a cold process, so a search that never ends times out
+    model = two_leaf_channel_model()
+    model.root.left = leaf((1e-30, 0.0, 0.0), 0.0)
+    model.root.right = leaf((0.0, 0.0, 0.0), 1.0)
+    model_path = tmp_path / "model.json"
+    model_path.write_bytes(save_models({LayerKind.CNN: model}))
+    report_path = tmp_path / "report.json"
+    result = subprocess.run(
+        [
+            sys.executable, "-m", "layertime.cli", "analyze", "--model", str(model_path),
+            "--config", str(_write_config(tmp_path, cnn(24, 24, 3, 3, 43, 64))),
+            "--out", str(report_path),
+        ],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert result.returncode == 0, result.stderr
+    [region] = json.loads(report_path.read_text())["regions"]
+    assert region["verified"] is True
+    assert 1e12 < region["bound"] < 1e14
+
+
 def test_non_finite_expansion_benefit_exits_three_and_writes_nothing(tmp_path, capsys):
     model = two_leaf_channel_model()
     model.root.left = leaf((1.5e308, 0.0, 0.0), 0.0)  # finite, but its flops term overflows

@@ -139,9 +139,9 @@ def argvs(draw, command):
     return argv + draw(_STRAY)
 
 
-def _assert_finite_json(path: Path, argv: list[str]) -> None:
+def _assert_finite_json(path: Path, where: str) -> None:
     def reject(token):
-        raise AssertionError(f"argv={argv!r} wrote a non-finite JSON number: {token}")
+        raise AssertionError(f"{where} wrote a non-finite JSON number: {token}")
 
     text = path.read_text(encoding="utf-8")
     try:
@@ -163,19 +163,26 @@ def test_any_argv_keeps_the_exit_code_contract(inputs, command, data):
                 contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             warnings.simplefilter("always")
             code = main(argv)
+        err = stderr.getvalue()
+        # a warning's category and origin, so a one-off warning shows where it came from
+        warned = [f"{w.category.__name__} at {w.filename}:{w.lineno}: {w.message}" for w in caught]
+        # every message describes the whole run, so a failure that does not recur
+        # can still be read, and replayed, from its last lines
+        where = (
+            f"argv={argv!r} template={template!r} code={code!r} "
+            f"stderr={err!r} warnings={warned!r}"
+        )
         for path in Path(out).rglob("*"):
             if path.is_file():
-                _assert_finite_json(path, argv)
-    err = stderr.getvalue()
-    # every message names the argv, so a failure can be replayed from its last lines
-    where = f"argv={argv!r}"
+                _assert_finite_json(path, where)
     assert code in (0, 1, 2, 3), where
-    # a warning's category and origin, so a one-off warning shows where it came from
-    warned = [f"{w.category.__name__} at {w.filename}:{w.lineno}: {w.message}" for w in caught]
     assert warned == [], where
     if code == 0:
         assert err == "", where
-        assert "nan" not in stdout.getvalue(), where
+        # printed paths go back to their placeholders: a random directory name
+        # such as tmpnanlze3z is not a printed result
+        printed = stdout.getvalue().replace(out, OUT).replace(str(inputs), IN)
+        assert "nan" not in printed, f"{where} stdout={stdout.getvalue()!r}"
     else:
         assert err.startswith("error: ") and err.endswith("\n"), where
         assert len(err.splitlines()) == 1, where
