@@ -109,10 +109,10 @@ def coefficient_pvalues(dataset: Dataset) -> SignificanceReport:
     residual = y - design @ beta
     dof = n - k - 1
     rss = float(residual @ residual)
-    total = float(np.sum((y - y.mean()) ** 2))
 
-    # a numerically exact fit: a variable either participates or it does not
-    exact = rss <= 1e-18 * max(total, 1.0)
+    # a numerically exact fit: a variable either participates or it does not.
+    # Relative to y . y, so the test reads the same in any unit of time
+    exact = rss <= 1e-18 * float(y @ y)
     if exact:
         y_scale = max(float(np.abs(y).max()), 1e-300)
     else:

@@ -70,6 +70,10 @@ class ProfileFormatError(ValueError):
     """A profile or plan file contains a record that cannot be decoded."""
 
 
+# a tuple, so that an unhashable source is simply not one of them
+_SOURCES = ("measured", "synthetic")
+
+
 @dataclass(frozen=True)
 class ProfileSample:
     """One measured (or synthesized) component execution time."""
@@ -84,7 +88,7 @@ class ProfileSample:
             object.__setattr__(self, "time_ms", _number("time_ms", self.time_ms, 0, strict=True))
         if type(self.reps) is not int or self.reps < 1:
             object.__setattr__(self, "reps", _integer("reps", self.reps, 1))
-        if self.source not in ("measured", "synthetic"):
+        if self.source not in _SOURCES:
             raise ValueError(f"source must be 'measured' or 'synthetic', got {self.source!r}")
 
 
@@ -175,18 +179,19 @@ def save_plan(plan: Sequence[StructureConfig], path: str | Path) -> None:
     _write_records(path, map(config_to_dict, plan))
 
 
-def _lines(path: str | Path) -> Iterator[tuple[str, bytes]]:
-    """``(f"{path}:{lineno}", line)`` for every non-blank line of a JSON-lines file."""
+def _lines(path: str | Path) -> Iterator[tuple[int, bytes]]:
+    """``(lineno, line)`` for every non-blank line of a JSON-lines file."""
     # bytes, so that a line that is not UTF-8 is reported with its location
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                yield f"{path}:{lineno}", line
+            if not line.isspace():
+                yield lineno, line
 
 
 def _records(path: str | Path) -> Iterator[tuple[str, object]]:
     """``(f"{path}:{lineno}", record)`` for every non-blank line of a JSON-lines file."""
-    for where, line in _lines(path):
+    for lineno, line in _lines(path):
+        where = f"{path}:{lineno}"
         yield where, _parse_json(line, ProfileFormatError, where)
 
 
@@ -329,7 +334,11 @@ def write_profile(samples: Sequence[ProfileSample], path: str | Path) -> None:
 
 
 def read_profile(path: str | Path) -> list[ProfileSample]:
-    """Parse a profile file; malformed records report their line number."""
+    """Parse a profile file; malformed records report their line number.
+
+    A record is malformed when its config breaks a constructor rule, and
+    also when a size derived from it does not fit a float.
+    """
     samples: list[ProfileSample] = []
     schema_seen: int | None = None
     for where, record in _records(path):
@@ -356,14 +365,16 @@ def read_profile(path: str | Path) -> list[ProfileSample]:
         if not isinstance(config_fields, dict) or "kind" in config_fields:
             raise ProfileFormatError(f"{where}: config must be an object without its own 'kind'")
         try:
-            samples.append(ProfileSample(
+            sample = ProfileSample(
                 config=config_from_dict({"kind": layer_type, **config_fields}),
                 time_ms=time_ms,
                 reps=record.get("reps", 1),
                 source=record.get("source", "measured"),
-            ))
+            )
+            _split_row(sample.config)
         except ValueError as exc:
             raise ProfileFormatError(f"{where}: {exc}") from exc
+        samples.append(sample)
     return samples
 
 
@@ -372,17 +383,13 @@ def ingest_profile(path: str | Path) -> dict[LayerKind, Dataset]:
 
     The file is read by column: each record's fields and time join its
     kind's columns, and every record and config rule is checked on whole
-    columns.  A file that breaks a rule, or holds a size of ``2**53`` or
-    more, is read again record by record through :func:`read_profile`, so
-    it raises the same located error, or loads the same datasets.
+    columns.  A file that breaks a rule, holds a size of ``2**53`` or more,
+    or pads a record with spaces, is read again record by record through
+    :func:`read_profile`, so it raises the same located error, or loads the
+    same datasets.
     """
     datasets = _ingest_columns(path)
     return _ingest_records(path) if datasets is None else datasets
-
-
-_SOURCES = frozenset({"measured", "synthetic"})
-# what ``bytes.strip`` strips, the test of a blank line in :func:`_lines`
-_ASCII_SPACE = " \t\n\r\x0b\x0c"
 
 
 def _ingest_columns(path: str | Path) -> dict[LayerKind, Dataset] | None:
@@ -393,43 +400,37 @@ def _ingest_columns(path: str | Path) -> dict[LayerKind, Dataset] | None:
         for kind, names in _FIELDS_BY_KIND.items()
     }
     reps, sources, schemas = [], [], []
-    loads = json.loads
-    try:
-        # split at b"\n" alone, as the binary lines of _lines are
-        with open(path, encoding="utf-8", newline="\n") as fh:
-            for line in fh:
-                try:
-                    record = loads(line)
-                except (ValueError, RecursionError):
-                    if line.strip(_ASCII_SPACE):
-                        return None
-                    continue
-                try:
-                    rows, times, get_fields, n_fields = columns[record["layer_type"]]
-                    config = record["config"]
-                    rows.append(get_fields(config))
-                    times.append(record["time_ms"])
-                # not an object, an unknown kind, a missing field or a config that is not an object
-                except (KeyError, TypeError):
-                    return None
-                # the config holds exactly its kind's fields, the record only known ones
-                if len(config) != n_fields or not record.keys() <= _RECORD_KEYS:
-                    return None
-                reps.append(record.get("reps", 1))
-                sources.append(record.get("source", "measured"))
-                schemas.append(record.get("schema", _SCHEMA))
-    except UnicodeDecodeError:
-        return None
-    if reps:
+    decode = json.JSONDecoder().raw_decode
+    for _, line in _lines(path):
+        # the value must fill its line: a space before it, or anything after it
+        # but the newline, is left to read_profile (json.loads would scan for both)
         try:
-            if not (
-                set(map(type, reps)) == {int} and min(reps) >= 1
-                and set(sources) <= _SOURCES
-                and set(map(type, schemas)) == {int} and set(schemas) == {_SCHEMA}
-            ):
-                return None
-        except TypeError:  # an unhashable source
+            text = line.decode("utf-8")
+            record, end = decode(text)
+        except (ValueError, RecursionError):  # not UTF-8 (a ValueError too), or not JSON
             return None
+        if text[end:] not in ("\n", ""):
+            return None
+        try:
+            rows, times, get_fields, n_fields = columns[record["layer_type"]]
+            config = record["config"]
+            rows.append(get_fields(config))
+            times.append(record["time_ms"])
+        # not an object, an unknown kind, a missing field or a config that is not an object
+        except (KeyError, TypeError):
+            return None
+        # the config holds exactly its kind's fields, the record only known ones
+        if len(config) != n_fields or not record.keys() <= _RECORD_KEYS:
+            return None
+        reps.append(record.get("reps", 1))
+        sources.append(record.get("source", "measured"))
+        schemas.append(record.get("schema", _SCHEMA))
+    if reps and not (
+        set(map(type, reps)) == {int} and min(reps) >= 1
+        and all(map(_SOURCES.__contains__, sources))
+        and set(map(type, schemas)) == {int} and set(schemas) == {_SCHEMA}
+    ):
+        return None
     datasets = {}
     for kind in sorted(_FIELDS_BY_KIND, key=lambda k: k.value):
         rows, times, _, _ = columns[kind.value]
@@ -451,22 +452,12 @@ def _ingest_columns(path: str | Path) -> dict[LayerKind, Dataset] | None:
 def _ingest_records(path: str | Path) -> dict[LayerKind, Dataset]:
     """:func:`ingest_profile` record by record: :func:`read_profile`, then one
     :meth:`Dataset.from_records` per kind."""
-    samples = read_profile(path)
     grouped: dict[LayerKind, tuple[list[StructureConfig], list[float]]] = {}
-    for sample in samples:
+    for sample in read_profile(path):
         configs, times = grouped.setdefault(sample.config.kind, ([], []))
         configs.append(sample.config)
         times.append(sample.time_ms)
-    try:
-        return {
-            kind: Dataset.from_records(kind, *grouped[kind])
-            for kind in sorted(grouped, key=lambda k: k.value)
-        }
-    except ValueError:
-        # a size too large for a float: name the first record that holds one
-        for (where, _), sample in zip(_lines(path), samples):
-            try:
-                _split_row(sample.config)
-            except ValueError as exc:
-                raise ProfileFormatError(f"{where}: {exc}") from exc
-        raise
+    return {
+        kind: Dataset.from_records(kind, *grouped[kind])
+        for kind in sorted(grouped, key=lambda k: k.value)
+    }

@@ -346,17 +346,17 @@ class TimeModel:
     def predict_rows(self, features: np.ndarray, explanatory: np.ndarray) -> np.ndarray:
         """Vector of predictions for pre-derived feature/explanatory rows.
 
-        Each row routes as :meth:`predict` routes, on its Python floats.
+        Each row routes and is priced as :meth:`predict` routes and prices
+        it, on its Python floats.
         Raises :class:`ValueError` when the row counts differ, and
         :class:`NumericError` when any prediction is not finite.
         """
         features = np.atleast_2d(np.asarray(features, dtype=float))
-        explanatory = np.atleast_2d(explanatory)
+        explanatory = np.atleast_2d(np.asarray(explanatory, dtype=float))
         if features.shape[0] != explanatory.shape[0]:
             raise ValueError("features and explanatory must agree in row count")
-        out = np.empty(features.shape[0])
-        for i, row in enumerate(features.tolist()):
-            out[i] = _route(self.root, row).fit.predict(explanatory[i])
+        rows = zip(features.tolist(), explanatory.tolist())
+        out = np.array([_leaf_time(_route(self.root, f).fit, x) for f, x in rows])
         if not np.isfinite(out).all():
             raise NumericError(f"{self.kind.value} model predicts a non-finite time")
         return out

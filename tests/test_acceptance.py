@@ -48,6 +48,7 @@ from layertime.tree import (
     Dataset,
     FitParams,
     LinearFit,
+    Node,
     TimeModel,
     fit_tree,
     load_models,
@@ -56,12 +57,14 @@ from layertime.tree import (
 
 @contextmanager
 def criterion(number: int, title: str):
+    """Print the criterion's PASS/FAIL line; a PASS line ends with what the body appended."""
+    results: list[str] = []
     try:
-        yield
+        yield results
     except BaseException:
         print(f"ACCEPTANCE {number} FAIL: {title}")
         raise
-    print(f"ACCEPTANCE {number} PASS: {title}")
+    print(f"ACCEPTANCE {number} PASS: {title}" + "".join(f"; {r}" for r in results))
 
 
 def test_criterion_1_planted_model_recovery():
@@ -291,3 +294,50 @@ def test_criterion_8_end_to_end_pipeline(tmp_path):
         assert expanded <= uncompressed
         assert compressed <= 0.5 * uncompressed
         assert elapsed < 120.0
+
+
+# criterion 9: fixed before the bound was chosen
+HEADLINE_SEEDS = range(24)
+HEADLINE_LAMBDAS = (0.01, 0.03, 0.1, 0.3, 1.0, 3.0)
+HEADLINE_FRACTIONS = np.arange(2, 9) / 8  # 0.25, 0.375, ..., 1.0
+
+
+def headline_instance(seed):
+    """Three 24x24, 3x3 CNN layers of widths 16-128, width grids at fractions
+    of each layer's width, and a loss that falls with width."""
+    rng = np.random.default_rng([9, seed])
+    widths = [int(w) for w in rng.integers(16, 129, size=4)]
+    net = NetworkSpec(tuple(cnn(24, 24, 3, 3, widths[i], widths[i + 1]) for i in range(3)))
+    grids = [sorted({round(w * f) for f in HEADLINE_FRACTIONS}) for w in widths[1:]]
+    return net, grids, width_loss(rng.uniform(5.0, 50.0, size=3))
+
+
+def flop_proxy(models, net):
+    """A one-leaf CNN model whose time is proportional to FLOPs, equal to the
+    real model's on ``net``: the size-driven compression the paper compares to."""
+    flops = sum(derive_explanatory(layer).flops for layer in net.layers)
+    w = np.array([network_time(models, net) / flops, 0.0, 0.0])
+    fit = LinearFit(w=w, b=0.0, n=0, mape=0.0, mse=0.0)
+    return {LayerKind.CNN: TimeModel(kind=LayerKind.CNN, root=Node(fit=fit))}
+
+
+def test_criterion_9_model_steered_compression_beats_size_driven():
+    with criterion(9, "model-steered vs FLOP-proxy compression at matched loss") as results:
+        real = {LayerKind.CNN: default_oracle().models[LayerKind.CNN]}
+        ratios = []
+        for seed in HEADLINE_SEEDS:
+            net, grids, loss = headline_instance(seed)
+            proxy = flop_proxy(real, net)
+            steered = [brute_force_compress(loss, real, net, lam, grids) for lam in HEADLINE_LAMBDAS]
+            priced = [(loss(found), network_time(real, found)) for found in steered]
+            for lam in HEADLINE_LAMBDAS:
+                sized = brute_force_compress(loss, proxy, net, lam, grids)
+                # the fastest model-steered result that loses no more than the sized one
+                sized_loss = loss(sized)
+                matched = [t for steered_loss, t in priced if steered_loss <= sized_loss]
+                assert matched, f"seed {seed}, lambda {lam}: no model-steered result matches"
+                ratios.append(min(matched) / network_time(real, sized))
+        median = float(np.median(ratios))
+        # the paper's claim is a direction: steering by the model is faster
+        assert median < 1.0
+        results.append(f"median time ratio {median:.3f} over {len(ratios)} comparisons")

@@ -130,6 +130,22 @@ def test_pvalues_invariant_under_column_rescaling():
         )
 
 
+@pytest.mark.parametrize("exponent", [-12, -9, -6, 6, 12])
+def test_pvalues_invariant_under_time_rescaling(exponent):
+    # the unit of time (seconds, milliseconds, cycles) must not decide
+    # whether a fit counts as exact
+    rng = np.random.default_rng(12)
+    n = 100
+    x = rng.uniform(1.0, 50.0, size=(n, 3))
+    times = np.clip(x @ [0.5, 0.05, 0.0] + 2.0 + rng.normal(scale=1.0, size=n), 0.01, None)
+    base = Dataset(kind=LayerKind.FC, features=x, explanatory=x, times=times)
+    scaled = Dataset(kind=LayerKind.FC, features=x, explanatory=x, times=times * 10.0**exponent)
+    for name in ("flops", "mem", "param_size"):
+        assert coefficient_pvalues(scaled)[name].p_value == pytest.approx(
+            coefficient_pvalues(base)[name].p_value, rel=1e-6, abs=1e-12
+        )
+
+
 def test_collinear_column_reported_degenerate():
     rng = np.random.default_rng(4)
     n = 60

@@ -214,6 +214,18 @@ def test_non_finite_time_reports_line(tmp_path, bad):
         read_profile(path)
 
 
+def test_size_too_large_for_a_float_reports_line(tmp_path):
+    path = tmp_path / "profile.jsonl"
+    write_profile([ProfileSample(config=fc(3, 5), time_ms=1.0)], path)
+    lines = path.read_text().splitlines()
+    lines.append(lines[0].replace('"in_dim": 3, "out_dim": 5',
+                                  f'"in_dim": {10**300}, "out_dim": {10**300}'))
+    path.write_text("\n".join(lines) + "\n")
+    message = f"{path}:2: FC config has a size too large for a float"
+    with pytest.raises(ProfileFormatError, match=f"^{re.escape(message)}$"):
+        read_profile(path)
+
+
 def test_sample_rejects_infinite_time():
     with pytest.raises(ValueError, match="finite"):
         ProfileSample(config=fc(3, 5), time_ms=float("inf"))

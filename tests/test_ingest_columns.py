@@ -235,6 +235,19 @@ def test_a_profile_the_columns_cannot_vouch_for_is_read_record_by_record(
     assert calls == [path]
 
 
+@pytest.mark.parametrize("before, after", [
+    (b" ", b""), (b"", b" "), (b"\t", b"\r"), (b"\r", b"\t "),  # JSON whitespace: loads
+    (b"\xef\xbb\xbf", b""), (b"", b"x"), (b"", b" 1"), (b"\x0c", b""),  # an error
+], ids=repr)
+def test_a_record_that_does_not_fill_its_line_is_read_as_read_profile_reads_it(
+    tmp_path, before, after
+):
+    line = _line(_cnn_record(), True)
+    path = tmp_path / "profile.jsonl"
+    path.write_bytes(line + b"\n" + before + line + after + b"\n")
+    assert outcome(ingest_profile, path) == outcome(reference_ingest, path)
+
+
 def test_a_size_too_large_for_a_float_names_its_record(tmp_path, capsys):
     from layertime.cli import main
 

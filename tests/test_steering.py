@@ -1180,6 +1180,108 @@ def test_steering_value_types_are_slotted(reference_model):
         dataclasses.replace(net, layers=(net.layers[0], expanded.layers[1]))
 
 
+# --- steering guarantees as properties ---------------------------------------------
+
+_KINDS = st.sampled_from(list(LayerKind))
+_DEPTHS = st.integers(0, 4)
+
+
+def random_network(rng, kinds, max_depth):
+    """A random tree per kind, and a net of ``random_config`` layers whose
+    coupled input widths are set to the output width before them."""
+    models = {kind: random_tree_model(rng, kind, max_depth) for kind in dict.fromkeys(kinds)}
+    layers = []
+    for kind in kinds:
+        config = random_config(rng, kind)
+        if layers and steering._coupled_kinds(layers[-1].kind, kind):
+            width = getattr(layers[-1], width_fields(layers[-1].kind)[1])
+            config = dataclasses.replace(config, **{width_fields(kind)[0]: width})
+        layers.append(config)
+    return models, NetworkSpec(tuple(layers))
+
+
+def grids_around(rng, net):
+    """Up to four output widths per layer, between half and twice the current
+    one, always including the current one."""
+    return [
+        sorted({width, *(int(w) for w in rng.integers(max(1, width // 2), 2 * width + 1,
+                                                      size=int(rng.integers(0, 4))))})
+        for width in steering._current_widths(net)
+    ]
+
+
+def growing_loss(weights):
+    """A loss that grows with every layer's output width."""
+
+    def evaluator(net):
+        return sum(w * width / 100.0 for w, width in zip(weights, steering._current_widths(net)))
+
+    return evaluator
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=_KINDS, max_depth=_DEPTHS, seed=st.integers(0, 2**32 - 1))
+def test_expand_layer_never_slower_never_narrower_and_a_fixed_point(kind, max_depth, seed):
+    rng = np.random.default_rng(seed)
+    model = random_tree_model(rng, kind, max_depth)
+    config = random_config(rng, kind)
+    expanded, _ = expand_layer(model, config)
+    assert model.predict(expanded) <= model.predict(config)
+    for name in width_fields(kind):
+        assert getattr(expanded, name) >= getattr(config, name)
+    assert expand_layer(model, expanded)[0] == expanded
+
+
+@settings(max_examples=200, deadline=None)
+@given(kinds=st.lists(_KINDS, max_size=5), max_depth=_DEPTHS, seed=st.integers(0, 2**32 - 1))
+def test_expand_network_is_consistent_and_never_slower(kinds, max_depth, seed):
+    models, net = random_network(np.random.default_rng(seed), kinds, max_depth)
+    expanded, _ = expand_network(models, net)
+    assert NetworkSpec(expanded.layers) == expanded  # shared widths agree
+    assert [layer.kind for layer in expanded.layers] == kinds
+    assert network_time(models, expanded) <= network_time(models, net)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kinds=st.lists(_KINDS, min_size=1, max_size=4),
+    max_depth=_DEPTHS,
+    seed=st.integers(0, 2**32 - 1),
+    lam=st.sampled_from([0.0, 0.01, 0.1, 1.0, 10.0]),
+    make_loss=st.sampled_from([width_loss, growing_loss]),  # falls or grows with width
+)
+def test_greedy_never_scores_above_its_input(kinds, max_depth, seed, lam, make_loss):
+    rng = np.random.default_rng(seed)
+    models, net = random_network(rng, kinds, max_depth)
+    grids = grids_around(rng, net)
+    loss = make_loss(rng.uniform(5.0, 50.0, size=len(kinds)))
+    result = greedy_compress(loss, models, net, lam, grids)
+    assert time_aware_objective(loss, models, result, lam) <= time_aware_objective(
+        loss, models, net, lam
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kinds=st.lists(_KINDS, min_size=1, max_size=3),
+    max_depth=_DEPTHS,
+    seed=st.integers(0, 2**32 - 1),
+    lam=st.sampled_from([0.0, 0.01, 0.1, 1.0, 10.0]),
+)
+def test_brute_force_scores_at_or_below_greedy_for_a_falling_loss(kinds, max_depth, seed, lam):
+    # greedy ends at a grid point or its expansion; brute force scores that
+    # point's expansion, which a falling loss never scores above the point
+    rng = np.random.default_rng(seed)
+    models, net = random_network(rng, kinds, max_depth)
+    grids = grids_around(rng, net)
+    loss = width_loss(rng.uniform(5.0, 50.0, size=len(kinds)))  # never grows with width
+    greedy = greedy_compress(loss, models, net, lam, grids)
+    brute = brute_force_compress(loss, models, net, lam, grids)
+    assert time_aware_objective(loss, models, brute, lam) <= time_aware_objective(
+        loss, models, greedy, lam
+    )
+
+
 # --- recurrent floor ------------------------------------------------------------------
 
 

@@ -659,6 +659,24 @@ def test_predict_is_bit_identical_to_the_matrix_law_predict(kind, seed):
             assert model.predict(config).hex() == matrix_law_predict(model, config).hex()
 
 
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(list(LayerKind)), seed=st.integers(0, 2**32 - 1))
+def test_predict_rows_is_bit_identical_to_predict(kind, seed):
+    from layertime.harness import default_oracle
+
+    rng = np.random.default_rng(seed)
+    configs = [random_config(rng, kind) for _ in range(20)]
+    rows = [layers._split_row(config) for config in configs]
+    features = np.array([f for f, _ in rows])
+    explanatory = np.array([x for _, x in rows])
+    for model in (random_tree_model(rng, kind), default_oracle().models[kind]):
+        expected = [model.predict(config).hex() for config in configs]
+        # the sizes are exact integers, so int rows must price as their floats do
+        for dtype in (float, np.int64):
+            got = model.predict_rows(features.astype(dtype), explanatory.astype(dtype))
+            assert [float(t).hex() for t in got] == expected
+
+
 def feature_split_tree(rng, kind, features, depth=0):
     """A random tree over ``features``: range taus equal to feature values,
     and multiple conditions on every feature, zero-valued ones included."""
