@@ -1,9 +1,13 @@
 """Profiling plans, synthetic ground-truth latencies, and profile file I/O.
 
 Plan generation and time synthesis are pure given their seeds, so plans and
-profiles are reproducible byte for byte.  Profile files are line-delimited
-JSON records, one component measurement per line, which keeps long profiling
-runs append-friendly.
+profiles are reproducible byte for byte.  A config's noise stream is the
+PCG64 generator that numpy's SeedSequence algorithm seeds from the oracle
+seed and the SHA-256 digest of the config; :func:`synth_profile` seeds the
+streams of a whole plan in one batch, running that algorithm as array
+operations, and tests pin every state to numpy's own ``SeedSequence``.
+Profile files are line-delimited JSON records, one component measurement per
+line, which keeps long profiling runs append-friendly.
 """
 
 from __future__ import annotations
@@ -168,11 +172,15 @@ def generate_plan(
     return plan
 
 
+# ``json.dumps(obj, sort_keys=True)`` without building an encoder per call
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
 def _write_records(path: str | Path, records: Iterable[dict]) -> None:
     """Write each record as one line of sorted-key JSON, the files :func:`_records` reads."""
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.write(_encode(record) + "\n")
 
 
 def save_plan(plan: Sequence[StructureConfig], path: str | Path) -> None:
@@ -225,44 +233,143 @@ class SyntheticOracle:
         object.__setattr__(self, "seed", _integer("seed", self.seed))
 
 
-def _config_rng(seed: int, config: StructureConfig) -> np.random.Generator:
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx): a pool of
+# four 32-bit words, filled and mixed by hashmix from INIT_A, read out by
+# hashmix from INIT_B
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+# PCG64's 128-bit LCG multiplier
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(init: int, mult: int):
+    """SeedSequence's ``hashmix`` on uint32 arrays, with its own running constant."""
+    const = init
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> 16)
+
+
+def _seed_rows(seed: int, configs: Sequence[StructureConfig]) -> np.ndarray:
+    """``SeedSequence([seed & 0xFFFFFFFF, *words]).generate_state(4, np.uint64)``
+    for every config, one row each, where ``words`` are the four big-endian
+    64-bit words of the SHA-256 digest of the config's sorted-key JSON.
+
+    SeedSequence splits each word into 32-bit halves, low first, and drops a
+    high half of 0, so a row's entropy holds 5 to 9 words.  Its mixing runs
+    here as uint32 array operations over all rows at once; a row that has
+    run out of words keeps its pool.
+    """
     # imported here: hashlib loads OpenSSL, which no other command needs
     import hashlib
 
-    digest = hashlib.sha256(
-        json.dumps(config_to_dict(config), sort_keys=True).encode("utf-8")
-    ).digest()
-    words = [int.from_bytes(digest[i : i + 8], "big") for i in range(0, 32, 8)]
-    # SeedSequence splits each int into 32-bit halves, low first, and drops a
-    # high half of 0; given those halves as one uint32 array it seeds the same
-    # stream as the list of ints, without converting each int
-    halves = (h for w in words for h in ((w & 0xFFFFFFFF, w >> 32) if w >> 32 else (w,)))
-    entropy = np.array([seed & 0xFFFFFFFF, *halves], dtype=np.uint32)
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    digests = bytearray()
+    for config in configs:
+        digests += hashlib.sha256(_encode(config_to_dict(config)).encode("utf-8")).digest()
+    n = len(configs)
+    # (low, high) halves of each word
+    halves = np.frombuffer(digests, dtype=">u4").reshape(n, 4, 2)[:, :, ::-1].reshape(n, 8)
+    kept = np.ones((n, 8), dtype=bool)
+    kept[:, 1::2] = halves[:, 1::2] != 0
+    entropy = np.empty((n, 9), dtype=np.uint32)
+    entropy[:, 0] = seed & _MASK32
+    # each row's kept halves, moved to its front in order
+    order = np.argsort(~kept, axis=1, kind="stable")
+    entropy[:, 1:] = np.take_along_axis(halves, order, axis=1)
+    length = 1 + kept.sum(axis=1)
+
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+    # every row holds more than _POOL words, so the pool starts from entropy
+    pool = [hashmix(entropy[:, i]) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL, entropy.shape[1]):
+        live = length > src
+        for dst in range(_POOL):
+            pool[dst] = np.where(live, _mix(pool[dst], hashmix(entropy[:, src])), pool[dst])
+
+    readout = _hashmix(_INIT_B, _MULT_B)
+    state = np.column_stack([readout(pool[i % _POOL]) for i in range(2 * _POOL)])
+    # pairs of 32-bit words, low first, read as 64-bit words
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _noise_streams(
+    seed: int, configs: Sequence[StructureConfig]
+) -> Iterator[np.random.Generator]:
+    """A generator per config, in order, each in the state of
+    ``np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF, *words]))``.
+
+    It is one generator, moved to the next config's state each time, so a
+    caller draws from it before asking for the next one.
+    """
+    rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator = rng.bit_generator
+    for row in _seed_rows(seed, configs):
+        s_hi, s_lo, i_hi, i_lo = row.tolist()
+        # PCG64's srandom step: the increment is (sequence << 1) | 1, and the
+        # state is seed + increment, advanced one LCG step
+        inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
+        state = ((((s_hi << 64) | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
 
 
 def synth_time(oracle: SyntheticOracle, config: StructureConfig) -> ProfileSample:
     """Sample one synthetic measurement; deterministic under (seed, config)."""
-    model = oracle.models.get(config.kind)
-    if model is None:
-        raise ValueError(f"oracle does not cover kind {config.kind.value}")
-    base = model.predict(config)
-    time_ms = base
-    if oracle.noise > 0:
-        rng = _config_rng(oracle.seed, config)
-        for _ in range(100):
-            time_ms = base * (1.0 + rng.normal(0.0, oracle.noise))
-            if time_ms > 0:
-                break
-        else:
-            time_ms = base * 1e-6
-    return ProfileSample(config=config, time_ms=float(time_ms), source="synthetic")
+    return synth_profile(oracle, [config])[0]
 
 
 def synth_profile(
     oracle: SyntheticOracle, plan: Sequence[StructureConfig]
 ) -> list[ProfileSample]:
-    return [synth_time(oracle, config) for config in plan]
+    """One synthetic measurement per config; each deterministic under (seed, config).
+
+    A measurement is the planted time and, when the oracle's noise is above
+    0, that time times ``1 + N(0, noise)``, drawn from the config's own
+    noise stream until it is positive (``1e-6`` of the planted time after
+    100 draws).
+    """
+    streams = _noise_streams(oracle.seed, plan) if oracle.noise > 0 else None
+    samples = []
+    for config in plan:
+        model = oracle.models.get(config.kind)
+        if model is None:
+            raise ValueError(f"oracle does not cover kind {config.kind.value}")
+        base = model.predict(config)
+        time_ms = base
+        if streams is not None:
+            rng = next(streams)
+            for _ in range(100):
+                time_ms = base * (1.0 + rng.normal(0.0, oracle.noise))
+                if time_ms > 0:
+                    break
+            else:
+                time_ms = base * 1e-6
+        samples.append(ProfileSample(config=config, time_ms=float(time_ms), source="synthetic"))
+    return samples
 
 
 def _leaf(w: Sequence[float], b: float) -> Node:

@@ -64,8 +64,8 @@ def _column_scale(A: np.ndarray) -> np.ndarray:
 
 def _active_set(A: np.ndarray, y: np.ndarray) -> np.ndarray:
     n = A.shape[1]
-    scale = float(np.abs(A.T @ y).max(initial=0.0))
-    cutoff = _TOL * max(1.0, scale)
+    # both tolerances are relative, so that the unit of y decides nothing
+    cutoff = _TOL * float(np.abs(A.T @ y).max(initial=0.0))
 
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
@@ -88,7 +88,7 @@ def _active_set(A: np.ndarray, y: np.ndarray) -> np.ndarray:
             ratios = x[blocking] / (x[blocking] - s[blocking])
             alpha = float(ratios.min())
             x = x + alpha * (s - x)
-            released = passive & (x <= 1e-12 * max(1.0, float(np.abs(x).max())))
+            released = passive & (x <= 1e-12 * float(np.abs(x).max()))
             x[released] = 0.0
             passive[released] = False
             if not passive.any():

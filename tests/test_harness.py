@@ -24,7 +24,7 @@ from layertime.harness import (
     synth_time,
     write_profile,
 )
-from layertime.layers import LayerKind, cnn, derive_features, fc, gru, lstm
+from layertime.layers import LayerKind, cnn, config_to_dict, derive_features, fc, gru, lstm
 from layertime.tree import (
     Condition,
     ConditionKind,
@@ -101,7 +101,33 @@ def test_plan_file_round_trip(tmp_path):
     assert load_plan(path) == plan
 
 
+def test_plan_and_profile_files_are_lines_of_sorted_key_json(tmp_path):
+    plan = [*generate_plan(n_networks=2, seed=3), cnn(24, 24, 3, 3, 8, 16, padding="same")]
+    samples = [
+        *synth_profile(default_oracle(noise=0.3), plan),
+        ProfileSample(config=fc(3, 1), time_ms=1e-300, reps=7, source="measured"),
+    ]
+    plan_path, profile_path = tmp_path / "plan.jsonl", tmp_path / "profile.jsonl"
+    save_plan(plan, plan_path)
+    write_profile(samples, profile_path)
+
+    def lines(records):
+        return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+
+    def record(sample):
+        config = config_to_dict(sample.config)
+        return {"layer_type": config.pop("kind"), "config": config, "time_ms": sample.time_ms,
+                "reps": sample.reps, "source": sample.source, "schema": 1}
+
+    assert plan_path.read_bytes() == lines(map(config_to_dict, plan)).encode("utf-8")
+    assert profile_path.read_bytes() == lines(map(record, samples)).encode("utf-8")
+
+
 # --- synthetic sampling -----------------------------------------------------------
+
+
+def test_empty_plan_synthesizes_nothing():
+    assert synth_profile(default_oracle(noise=0.05), []) == []
 
 
 def test_noise_free_sampling_is_exact():

@@ -1,8 +1,11 @@
 """Plans and synthetic times are drawn from the same random streams as the reference code.
 
 The references below are the plan and noise code as first written: the layer
-kind drawn with ``rng.choice`` over the kind values, and the noise stream
-seeded with ``SeedSequence([seed, *words])`` over the digest's 64-bit words.
+kind drawn with ``rng.choice`` over the kind values, and each config's noise
+stream a generator of its own, seeded with ``SeedSequence([seed, *words])``
+over the digest's 64-bit words.  ``synth_profile`` seeds a whole plan's
+streams in one batch instead, and its states are checked against numpy's
+own ``SeedSequence``.
 """
 
 import hashlib
@@ -14,7 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layertime import harness
-from layertime.harness import SyntheticOracle, default_oracle, generate_plan, synth_time
+from layertime.harness import (
+    ProfileSample,
+    SyntheticOracle,
+    default_oracle,
+    generate_plan,
+    synth_profile,
+    synth_time,
+)
 from layertime.layers import LayerKind, cnn, config_to_dict, fc, gru, lstm
 
 
@@ -51,6 +61,21 @@ def reference_config_rng(seed, config):
     return np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF, *words]))
 
 
+def reference_synth_time(oracle, config):
+    """One config's sample as first written: its own generator, then the retry loop."""
+    base = oracle.models[config.kind].predict(config)
+    time_ms = base
+    if oracle.noise > 0:
+        rng = reference_config_rng(oracle.seed, config)
+        for _ in range(100):
+            time_ms = base * (1.0 + rng.normal(0.0, oracle.noise))
+            if time_ms > 0:
+                break
+        else:
+            time_ms = base * 1e-6
+    return ProfileSample(config=config, time_ms=float(time_ms), source="synthetic")
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**64), n_networks=st.integers(1, 4))
 def test_plan_matches_the_reference_draws(seed, n_networks):
@@ -64,16 +89,20 @@ _CONFIGS = st.sampled_from(generate_plan(n_networks=8, seed=11))
 _SEEDS = st.integers(-(2**70), 2**70)
 
 
+def _one_stream(seed, config):
+    (rng,) = harness._noise_streams(seed, [config])
+    return rng
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=_SEEDS, config=_CONFIGS, noise=st.floats(0.001, 0.5))
 def test_synth_time_matches_the_reference_stream(seed, config, noise):
     oracle = SyntheticOracle(default_oracle().models, noise=noise, seed=seed)
-    state = harness._config_rng(seed, config).bit_generator.state
-    assert state == reference_config_rng(seed, config).bit_generator.state
-    sample = synth_time(oracle, config)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "_config_rng", reference_config_rng)
-        assert sample == synth_time(oracle, config)
+    ours = _one_stream(seed, config)
+    reference = reference_config_rng(seed, config)
+    assert ours.bit_generator.state == reference.bit_generator.state
+    assert ours.normal(size=4).tolist() == reference.normal(size=4).tolist()
+    assert synth_time(oracle, config) == reference_synth_time(oracle, config)
 
 
 class _FixedDigest:
@@ -99,7 +128,70 @@ def test_crafted_digests_seed_the_reference_stream(seed, words, config):
     digest = b"".join(w.to_bytes(8, "big") for w in words)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hashlib, "sha256", lambda data: _FixedDigest(digest))
-        ours = harness._config_rng(seed, config)
+        ours = _one_stream(seed, config)
         reference = reference_config_rng(seed, config)
     assert ours.bit_generator.state == reference.bit_generator.state
     assert ours.normal(size=4).tolist() == reference.normal(size=4).tolist()
+
+
+_sha256 = hashlib.sha256
+
+
+def _crafted_sha256(data):
+    """SHA-256 of ``data`` with, by its own first byte, some words cut to their
+    low half or to 0, so that one plan's entropy rows hold 5 to 9 words."""
+    digest = _sha256(data).digest()
+    pattern = digest[0]
+    words = []
+    for i in range(4):
+        word = int.from_bytes(digest[8 * i : 8 * i + 8], "big")
+        if pattern >> i & 1:
+            word &= 0xFFFFFFFF if pattern >> (4 + i) & 1 else 0
+        words.append(word)
+    return _FixedDigest(b"".join(w.to_bytes(8, "big") for w in words))
+
+
+def _entropy_lengths(plan):
+    # 1 seed word, then 1 or 2 words per digest word (a high half of 0 is dropped)
+    def length(config):
+        digest = _crafted_sha256(json.dumps(config_to_dict(config), sort_keys=True).encode())
+        words = digest.digest()
+        return 1 + sum(1 + (words[i : i + 4] != bytes(4)) for i in range(0, 32, 8))
+
+    return {length(config) for config in plan}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    plan_seed=st.integers(0, 2**32), n_networks=st.integers(2, 6),
+    seed=_SEEDS, noise=st.floats(0.001, 3.0),
+)
+def test_one_batch_equals_the_reference_loop(plan_seed, n_networks, seed, noise):
+    plan = generate_plan(n_networks=n_networks, seed=plan_seed)
+    oracle = SyntheticOracle(default_oracle().models, noise=noise, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hashlib, "sha256", _crafted_sha256)
+        batch = synth_profile(oracle, plan)
+        reference = [reference_synth_time(oracle, config) for config in plan]
+    assert batch == reference
+    # one batch mixes entropy rows of different lengths
+    assert len(_entropy_lengths(plan)) > 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(plan_seed=st.integers(0, 2**32), seed=_SEEDS)
+def test_batched_seed_rows_are_numpys_generate_state(plan_seed, seed):
+    plan = generate_plan(n_networks=3, seed=plan_seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hashlib, "sha256", _crafted_sha256)
+        rows = harness._seed_rows(seed, plan)
+        digests = [
+            hashlib.sha256(json.dumps(config_to_dict(c), sort_keys=True).encode()).digest()
+            for c in plan
+        ]
+    assert rows.dtype == np.uint64 and rows.shape == (len(plan), 4)
+    for row, digest in zip(rows, digests):
+        words = [int.from_bytes(digest[i : i + 8], "big") for i in range(0, 32, 8)]
+        entropy = [seed & 0xFFFFFFFF, *words]
+        expected = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
+        assert row.tolist() == expected.tolist()

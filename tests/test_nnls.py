@@ -113,3 +113,16 @@ def test_nonnegative_and_dominates_trivial_fit(data):
     baseline = np.zeros(n + 1)
     baseline[-1] = y.mean()
     assert loss(A, y, x) <= loss(A, y, baseline) + 1e-9 * max(1.0, loss(A, y, baseline))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), exponent=st.integers(-12, 12))
+def test_time_unit_scales_the_solution_and_keeps_its_support(seed, exponent):
+    # the unit of y (seconds, milliseconds, cycles) must not decide which
+    # coefficients are zero
+    A, y = random_instance(np.random.default_rng(seed))
+    unit = 10.0**exponent
+    x = nnls(A, y)
+    scaled = nnls(A, y * unit)
+    assert (scaled > 0).tolist() == (x > 0).tolist()
+    assert scaled == pytest.approx(x * unit, rel=1e-9, abs=1e-9 * unit * x.max(initial=0.0))

@@ -384,6 +384,30 @@ def test_planted_depth1_recovery():
     assert model.root.condition == Condition(OUT_CHANNEL, 8, MULTIPLE)
 
 
+def _support(model):
+    return [(node.condition, (node.fit.w > 0).tolist(), node.fit.b > 0) for _, node in model.nodes()]
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), exponent=st.integers(-12, 12))
+def test_time_unit_keeps_the_tree_and_scales_its_predictions(seed, exponent):
+    # a profile in seconds, milliseconds or cycles grows the same tree, with
+    # the same NNLS support in every node
+    from layertime.harness import default_oracle, generate_plan, synth_profile
+
+    unit = 10.0**exponent
+    samples = synth_profile(default_oracle(noise=0.02, seed=seed), generate_plan(seed=seed))
+    for kind in LayerKind:
+        kept = [s for s in samples if s.config.kind is kind]
+        ds = Dataset.from_records(kind, [s.config for s in kept], [s.time_ms for s in kept])
+        model = fit_tree(ds)
+        scaled = fit_tree(Dataset(kind, ds.features, ds.explanatory, ds.times * unit))
+        assert _support(scaled) == _support(model)
+        assert scaled.predict_rows(ds.features, ds.explanatory) == pytest.approx(
+            unit * model.predict_rows(ds.features, ds.explanatory), rel=1e-9
+        )
+
+
 def test_small_dataset_fits_single_leaf():
     planted = planted_depth2_model()
     ds = planted_cnn_dataset(planted, 14, seed=3)
