@@ -95,7 +95,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="significance and safe-expansion report")
     p.add_argument("--model", required=True)
     p.add_argument("--dataset")
-    p.add_argument("--config", help="CNN config fixing the geometry for region analysis")
+    p.add_argument("--config", help="CNN config fixing the region geometry; a region certifies "
+                   "its node's two fits, which price a layer only when both children are leaves")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_analyze)
 

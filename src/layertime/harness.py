@@ -490,10 +490,10 @@ def ingest_profile(path: str | Path) -> dict[LayerKind, Dataset]:
 
     The file is read by column: each record's fields and time join its
     kind's columns, and every record and config rule is checked on whole
-    columns.  A file that breaks a rule, holds a size of ``2**53`` or more,
-    or pads a record with spaces, is read again record by record through
-    :func:`read_profile`, so it raises the same located error, or loads the
-    same datasets.
+    columns.  Lines may end in LF or CRLF.  A file that breaks a rule, holds
+    a size of ``2**53`` or more, or pads a record with other spaces, is read
+    again record by record through :func:`read_profile`, so it raises the
+    same located error, or loads the same datasets.
     """
     datasets = _ingest_columns(path)
     return _ingest_records(path) if datasets is None else datasets
@@ -509,14 +509,14 @@ def _ingest_columns(path: str | Path) -> dict[LayerKind, Dataset] | None:
     reps, sources, schemas = [], [], []
     decode = json.JSONDecoder().raw_decode
     for _, line in _lines(path):
-        # the value must fill its line: a space before it, or anything after it
-        # but the newline, is left to read_profile (json.loads would scan for both)
+        # the value must fill its line: a space before it, or anything after it but
+        # an LF or CRLF end, is left to read_profile (json.loads would scan for both)
         try:
             text = line.decode("utf-8")
             record, end = decode(text)
         except (ValueError, RecursionError):  # not UTF-8 (a ValueError too), or not JSON
             return None
-        if text[end:] not in ("\n", ""):
+        if text[end:] not in ("\n", "\r\n", ""):
             return None
         try:
             rows, times, get_fields, n_fields = columns[record["layer_type"]]

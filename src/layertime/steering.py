@@ -195,13 +195,6 @@ def _obeys_trail(trail: list, features: Sequence[float]) -> bool:
     )
 
 
-def _walk_once(
-    model: TimeModel, config: StructureConfig, original: StructureConfig
-) -> tuple[StructureConfig, list[AcceptedExpansion]]:
-    """One walk of ``config`` from its own derivation: :func:`_walk` without the row."""
-    return _walk(model, config, original, _split_row(config))[:2]
-
-
 def _walk(
     model: TimeModel, config: StructureConfig, original: StructureConfig, row: tuple[list, list]
 ) -> tuple[StructureConfig, list[AcceptedExpansion], tuple[list, list]]:
@@ -259,14 +252,15 @@ def expand_layer(
     terminates), and the result is kept only if the full-model prediction
     did not get worse.  Hence the returned configuration never predicts
     slower than the input, never shrinks a coordinate, and re-expanding it
-    is a no-op.  The input is priced before the walk, so
-    :meth:`TimeModel.predict` rejects a config of another kind than the model's.
+    is a no-op.  The input is derived and priced once, before the walk, so
+    a config of another kind than the model's is rejected as
+    :meth:`TimeModel.predict` rejects it.
     """
-    time_before = model.predict(config)
+    row = model._row(config)
+    time_before = model._price_row(*row)
     in_field, out_field = width_fields(config.kind)
     width_total = getattr(config, in_field) + getattr(config, out_field)
     current = config
-    row = _split_row(config)
     accepted: list[AcceptedExpansion] = []
     for _ in range(_EXPANSION_CAP * width_total + 1):
         # every committed rounding grows a width, so a walk that commits
@@ -275,7 +269,8 @@ def expand_layer(
         if not walk_accepted:
             break
         accepted.extend(walk_accepted)
-    time_after = model.predict(current)
+    # an unchanged layer keeps its price; a changed one is priced from its walk's row
+    time_after = time_before if current is config else model._price_row(*row)
     reverted = time_after > time_before
     if reverted:
         current = config

@@ -330,15 +330,21 @@ class TimeModel:
         Raises :class:`NumericError` when the leaf's law overflows to a
         non-finite time.
         """
+        return self._price_row(*self._row(config))
+
+    def _row(self, config: StructureConfig) -> tuple[list[float], list[float]]:
+        """``config``'s ``(features, explanatory)``, for a config of the model's kind."""
         if config.kind is not self.kind:
-            raise ValueError(
-                f"model fits {self.kind.value} layers, got {config.kind.value}"
-            )
-        features, explanatory = _split_row(config)
-        # routed on the features alone, so an out-of-range feature index
-        # raises IndexError
-        fit = _route(self.root, features).fit
-        time = _leaf_time(fit, explanatory)
+            raise ValueError(f"model fits {self.kind.value} layers, got {config.kind.value}")
+        return _split_row(config)
+
+    def _price_row(self, features: Sequence[float], explanatory) -> float:
+        """The one price of a derived row: its leaf's law at ``explanatory``.
+
+        Routed on the features alone, so an out-of-range feature index
+        raises ``IndexError``; a non-finite time raises :class:`NumericError`.
+        """
+        time = _leaf_time(_route(self.root, features).fit, explanatory)
         if not math.isfinite(time):
             raise NumericError(f"{self.kind.value} model predicts a non-finite time ({time})")
         return time
@@ -356,10 +362,7 @@ class TimeModel:
         if features.shape[0] != explanatory.shape[0]:
             raise ValueError("features and explanatory must agree in row count")
         rows = zip(features.tolist(), explanatory.tolist())
-        out = np.array([_leaf_time(_route(self.root, f).fit, x) for f, x in rows])
-        if not np.isfinite(out).all():
-            raise NumericError(f"{self.kind.value} model predicts a non-finite time")
-        return out
+        return np.array([self._price_row(f, x) for f, x in rows])
 
 
 def _model_for(models: Mapping[LayerKind, TimeModel], kind: LayerKind) -> TimeModel:

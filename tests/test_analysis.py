@@ -21,6 +21,8 @@ from conftest import (
     W_FALSE,
     W_TRUE,
     leaf,
+    random_config,
+    random_tree_model,
 )
 from layertime.analysis import (
     _t_two_sided_pvalue,
@@ -36,7 +38,15 @@ from layertime.analysis import (
     verify_region,
 )
 from layertime.harness import default_oracle
-from layertime.layers import LayerKind, cnn, derive_explanatory, fc, feature_names
+from layertime.layers import (
+    LayerKind,
+    cnn,
+    derive_explanatory,
+    derive_features,
+    fc,
+    feature_names,
+    width_fields,
+)
 from layertime.tree import Condition, ConditionKind, Dataset, LinearFit
 
 
@@ -465,6 +475,51 @@ def test_every_region_is_certified_by_its_four_corners(coefficients):
     assert not all(value < -slack for value in corners(grown))
     # the certificate is the sign at the four corners, and a NaN corner fails it
     assert verify_region(grown).verified == all(value < 0 for value in corners(grown))
+
+
+def _reaches(model, target, config) -> bool:
+    features = derive_features(config).as_array()
+    node = model.root
+    while node is not target and node.condition is not None:
+        node = node.left if node.condition.holds(features) else node.right
+    return node is target
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_a_region_between_two_leaves_holds_for_the_models_predictions(seed):
+    # the region prices the node's own two fits, which predict prices only
+    # when both children are leaves; there, rounding a width inside the
+    # verified square never predicts slower
+    rng = np.random.default_rng(seed)
+    names = feature_names(LayerKind.CNN)
+    model = random_tree_model(rng, LayerKind.CNN)
+    for _, node in model.nodes():
+        if node.condition is not None and node.condition.kind is ConditionKind.MULTIPLE:
+            feature = names.index(str(rng.choice(width_fields(LayerKind.CNN))))
+            node.condition = Condition(feature, node.condition.tau, ConditionKind.MULTIPLE)
+    base = random_config(rng, LayerKind.CNN)
+    setting = ConvGeometry.from_config(base)
+    for _, node in model.nodes():
+        cond = node.condition
+        if cond is None or cond.kind is not ConditionKind.MULTIPLE:
+            continue
+        if not (node.left.is_leaf and node.right.is_leaf):
+            continue
+        field = names[cond.feature_index]
+        benefit = expansion_benefit(node.left.fit, node.right.fit, setting, cond.tau - 1, field)
+        region = verify_region(safe_region(benefit))
+        if not region.verified:
+            continue
+        top = int(min(region.bound, 512))
+        for u, v in rng.integers(1, top + 1, size=(50, 2)).tolist():
+            config = dataclasses.replace(base, in_channel=u, out_channel=v)
+            tau = int(cond.tau)
+            rounded = dataclasses.replace(
+                config, **{field: tau * math.ceil(getattr(config, field) / tau)}
+            )
+            if _reaches(model, node, config) and _reaches(model, node, rounded):
+                assert model.predict(rounded) <= model.predict(config) * (1 + 1e-12)
 
 
 # --- simplified models --------------------------------------------------------

@@ -217,6 +217,16 @@ def test_a_valid_profile_is_never_read_record_by_record(tmp_path, monkeypatch):
     assert calls == []
 
 
+def test_a_crlf_profile_is_read_by_column(tmp_path, monkeypatch):
+    lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
+    samples = synth_profile(default_oracle(noise=0.02), generate_plan(n_networks=30, seed=4))
+    write_profile(samples, lf)
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    calls = _spy_on_read_profile(monkeypatch)
+    assert outcome(ingest_profile, crlf) == outcome(ingest_profile, lf)
+    assert calls == []
+
+
 @pytest.mark.parametrize("defect", [
     ('"time_ms": 1.0', '"time_ms": 0.0'),  # an error
     ('"in_dim": 3', f'"in_dim": {2**53}'),  # a field of 2**53, which loads

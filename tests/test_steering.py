@@ -27,6 +27,7 @@ from layertime.harness import default_oracle
 from layertime.layers import (
     LayerKind,
     StructureConfig,
+    _split_row,
     cnn,
     derive_explanatory,
     derive_features,
@@ -261,18 +262,28 @@ def default_oracle_chain():
 
 def test_long_chain_prices_each_layer_once(monkeypatch):
     models, net = default_oracle_chain()
-    calls = []
-    predict = TimeModel.predict
+    derived, priced = [], []
+    row, price = TimeModel._row, TimeModel._price_row
 
-    def counting_predict(self, config):
-        calls.append(config)
-        return predict(self, config)
+    def counting_row(self, config):
+        derived.append(config)
+        return row(self, config)
 
-    monkeypatch.setattr(TimeModel, "predict", counting_predict)
+    def counting_price(self, features, explanatory):
+        priced.append(features)
+        return price(self, features, explanatory)
+
+    monkeypatch.setattr(TimeModel, "_row", counting_row)
+    monkeypatch.setattr(TimeModel, "_price_row", counting_price)
     _, trace = expand_network(models, net)
     assert len(trace.conflicts) == 48
-    # before and after per layer, then one re-priced layer per conflict option
-    assert len(calls) == 2 * len(net) + 2 * len(trace.conflicts) == 224
+    changed = sum(e.expanded != e.original or e.reverted for e in trace.entries)
+    assert changed == 49
+    # each layer's input is derived once, then each conflict option's re-priced layer
+    assert len(derived) == len(net) + 2 * len(trace.conflicts)
+    # one price per layer, one more per changed or reverted layer, and one
+    # per conflict option
+    assert len(priced) == len(net) + changed + 2 * len(trace.conflicts) == 209
 
 
 def test_long_chain_total_is_the_last_conflicts_choice():
@@ -869,25 +880,33 @@ def test_greedy_matches_the_apply_widths_reference(kinds, seed, lam, budget):
     ids=lambda kinds: "-".join(kind.value for kind in kinds),
 )
 def test_brute_force_prices_no_table_config_again(monkeypatch, kinds, seed):
-    # expand_layer, unchanged, predicts both ends of each table entry; the
-    # objective reuses those prices and predicts every other config once
+    # expand_layer prices both ends of each table entry, an unchanged one
+    # once; the objective reuses those prices and predicts every other config once
     models, net, grids, weights = mixed_compression_instance(kinds, seed)
     predicted, entries, inside = [], [], []
-    predict, expand = TimeModel.predict, steering.expand_layer
+    predict, price, expand = TimeModel.predict, TimeModel._price_row, steering.expand_layer
 
     def counting_predict(self, config):
-        (inside[-1] if inside else predicted).append(config)
+        assert not inside
+        predicted.append(config)
         return predict(self, config)
+
+    def counting_price(self, features, explanatory):
+        if inside:
+            inside[-1].append(features)
+        return price(self, features, explanatory)
 
     def recording_expand(model, config):
         inside.append([])
         result = expand(model, config)
-        ends, entry = inside.pop(), result[1]
-        assert ends[0] == entry.original and len(ends) == 2
+        prices, entry = inside.pop(), result[1]
+        changed = entry.expanded != entry.original or entry.reverted
+        assert prices[0] == _split_row(entry.original)[0] and len(prices) == 1 + changed
         entries.append(entry)
         return result
 
     monkeypatch.setattr(TimeModel, "predict", counting_predict)
+    monkeypatch.setattr(TimeModel, "_price_row", counting_price)
     monkeypatch.setattr(steering, "expand_layer", recording_expand)
     brute_force_compress(width_loss(weights), models, net, 1.0, grids)
     table_sizes = [
@@ -1045,6 +1064,11 @@ def reference_walk_once(model, config, original):
     return current, accepted
 
 
+def walk_once(model, config, original):
+    """One walk of ``config`` from its own derivation: ``_walk`` without the row."""
+    return steering._walk(model, config, original, _split_row(config))[:2]
+
+
 def width_tree_model(rng, kind):
     """A random tree whose multiple conditions all test a width, so walks round often."""
     model = random_tree_model(rng, kind=kind, max_depth=5)
@@ -1063,10 +1087,10 @@ def test_walk_once_matches_the_two_derivation_reference(kind, seed):
     for model in (width_tree_model(rng, kind), default_oracle().models[kind]):
         for _ in range(10):
             config = random_config(rng, kind)
-            walked = steering._walk_once(model, config, config)
+            walked = walk_once(model, config, config)
             assert walked == reference_walk_once(model, config, config)
             # a second walk starts from the first one's result
-            again = steering._walk_once(model, walked[0], config)
+            again = walk_once(model, walked[0], config)
             assert again == reference_walk_once(model, walked[0], config)
 
 
@@ -1085,7 +1109,7 @@ def test_predict_and_walk_follow_a_condition_rewritten_after_build():
     # a multiple condition on a width: the walk rounds it up to the cheaper side
     for tau, width in ((4, 32), (7, 35), (3, 30)):
         root.condition = Condition(out_channel, tau, MULTIPLE)
-        walked, _ = steering._walk_once(model, config, config)
+        walked, _ = walk_once(model, config, config)
         assert walked.out_channel == width
         assert model.predict(config) == (1.0 if 30 % tau == 0 else 5.0)
 
