@@ -1,7 +1,9 @@
 """Profiling plans, synthetic ground-truth latencies, and profile file I/O.
 
 Plan generation and time synthesis are pure given their seeds, so plans and
-profiles are reproducible byte for byte.  A config's noise stream is the
+profiles are reproducible byte for byte.  A plan's draws run numpy's
+bounded-integer algorithm on its generator's raw words, and tests pin each
+draw to numpy's ``Generator.integers``.  A config's noise stream is the
 PCG64 generator that numpy's SeedSequence algorithm seeds from the oracle
 seed and the SHA-256 digest of the config; :func:`synth_profile` seeds the
 streams of a whole plan in one batch, running that algorithm as array
@@ -16,14 +18,16 @@ import json
 import math
 import operator
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .layers import (
     _FIELDS_BY_KIND,
     LayerKind,
+    Padding,
     StructureConfig,
     _integer,
     _number,
@@ -31,7 +35,6 @@ from .layers import (
     _split_row,
     cnn,
     config_from_dict,
-    config_to_dict,
     fc,
     feature_names,
     gru,
@@ -96,6 +99,65 @@ class ProfileSample:
             raise ValueError(f"source must be 'measured' or 'synthetic', got {self.source!r}")
 
 
+# --- JSON lines -------------------------------------------------------------
+
+_SCHEMA = 1
+
+
+def _json_object(members: dict[str, str]) -> str:
+    """``json.dumps(..., sort_keys=True)`` of an object whose members are given as JSON text."""
+    return "{" + ", ".join(
+        f"{json.dumps(key)}: {text}" for key, text in sorted(members.items())
+    ) + "}"
+
+
+def _line_templates() -> dict:
+    """Per ``(kind, padding)`` of a config: its sorted-key JSON and its profile
+    record's, as ``%`` templates, and the getter of the integer fields the
+    templates take first, in their sorted order.
+
+    A record template then takes the ``reps``, the JSON text of the source and
+    the ``time_ms``.  The constructors store every count and ``reps`` as an
+    exact ``int`` and ``time_ms`` as an exact finite ``float``, whose ``%d``
+    and ``repr`` are the text ``json.dumps`` writes for them.
+    """
+    templates = {}
+    for kind, names in _FIELDS_BY_KIND.items():
+        integers = sorted(name for name in names if name != "padding")
+        for padding in Padding if "padding" in names else (None,):
+            fields = dict.fromkeys(integers, "%d")
+            if padding is not None:
+                fields["padding"] = json.dumps(padding.value)
+            kind_text = json.dumps(kind.value)
+            config = _json_object({**fields, "kind": kind_text})
+            record = _json_object({
+                "config": _json_object(fields), "layer_type": kind_text, "reps": "%d",
+                "schema": json.dumps(_SCHEMA), "source": "%s", "time_ms": "%r",
+            })
+            templates[kind, padding] = config, record + "\n", operator.attrgetter(*integers)
+    return templates
+
+
+_TEMPLATES = _line_templates()
+# each source's JSON text, by its index in _SOURCES
+_SOURCE_TEXTS = tuple(map(json.dumps, _SOURCES))
+
+
+def _config_json(config: StructureConfig) -> str:
+    """``json.dumps(config_to_dict(config), sort_keys=True)``: a plan line, and
+    the text a config's noise stream digests."""
+    template, _, integers = _TEMPLATES[config.kind, config.padding]
+    return template % integers(config)
+
+
+def _record_json(sample: ProfileSample) -> str:
+    """The sample's profile record as a line of sorted-key JSON."""
+    config = sample.config
+    _, template, integers = _TEMPLATES[config.kind, config.padding]
+    source = _SOURCE_TEXTS[_SOURCES.index(sample.source)]
+    return template % (*integers(config), sample.reps, source, sample.time_ms)
+
+
 # --- profiling plans --------------------------------------------------------
 
 _KERNEL_CHOICES = ((2, 2), (3, 3), (4, 4), (5, 5), (2, 3))
@@ -111,31 +173,81 @@ _MAX_COMPONENTS = 14
 
 _KINDS = tuple(LayerKind)
 
+_SPAN32, _SPAN64 = 1 << 32, 1 << 64
+_MASK32, _MASK64 = _SPAN32 - 1, _SPAN64 - 1
+# raw words read from a plan's generator at a time
+_BLOCK = 512
 
-def _draw_config(rng: np.random.Generator, scope: dict) -> StructureConfig:
-    # the one draw ``rng.choice`` makes over the kinds, without building an array
-    kind = _KINDS[int(rng.integers(0, len(_KINDS)))]
+
+def _draws(seed: int) -> Callable[[int, int], int]:
+    """``draw(lo, hi)``, which returns what successive ``int(rng.integers(lo, hi + 1))``
+    calls return on ``rng = np.random.default_rng(seed)``, for
+    ``-2**63 <= lo <= hi < 2**63``.
+
+    It reads the generator's raw 64-bit words in blocks and runs numpy's
+    bounded-integer algorithm on them (``random_bounded_uint64_fill``):
+    a span of 1 returns ``lo`` and uses no draw; a span up to ``2**32``
+    takes Lemire's rejection on 32-bit draws, each the low half of a new
+    word or, at the next 32-bit draw, the high half it left; a wider span
+    takes Lemire's rejection on whole words and leaves a pending high half
+    in place.  A span of ``2**32`` (or ``2**64``) is the raw draw itself,
+    which the rejection gives with a threshold of 0.
+    """
+    random_raw = np.random.PCG64(seed).random_raw
+    # the generator's words without end, read a block at a time
+    next_word = chain.from_iterable(iter(lambda: random_raw(_BLOCK).tolist(), None)).__next__
+    half = None
+
+    def draw(lo: int, hi: int) -> int:
+        nonlocal half
+        span = hi - lo + 1
+        if span == 1:
+            return lo
+        if span <= _SPAN32:
+            threshold = _SPAN32 % span
+            while True:
+                if half is None:
+                    word = next_word()
+                    u, half = word & _MASK32, word >> 32
+                else:
+                    u, half = half, None
+                m = u * span
+                if m & _MASK32 >= threshold:
+                    return lo + (m >> 32)
+        threshold = _SPAN64 % span
+        while True:
+            m = next_word() * span
+            if m & _MASK64 >= threshold:
+                return lo + (m >> 64)
+
+    return draw
+
+
+def _draw_config(draw: Callable[[int, int], int], scope: dict) -> StructureConfig:
+    kind = _KINDS[draw(0, len(_KINDS) - 1)]
     if kind is LayerKind.FC:
         lo, hi = scope["fc_dim"]
-        return fc(int(rng.integers(lo, hi + 1)), int(rng.integers(lo, hi + 1)))
+        return fc(draw(lo, hi), draw(lo, hi))
     if kind is LayerKind.CNN:
         lo, hi = scope["cnn_extent"]
         clo, chi = scope["cnn_channel"]
-        kernel = scope["kernels"][int(rng.integers(0, len(scope["kernels"])))]
+        kernels, strides, paddings = scope["kernels"], scope["strides"], scope["paddings"]
+        kernel = kernels[draw(0, len(kernels) - 1)]
         return cnn(
-            in_height=int(rng.integers(lo, hi + 1)),
-            in_width=int(rng.integers(lo, hi + 1)),
+            in_height=draw(lo, hi),
+            in_width=draw(lo, hi),
             kernel_height=kernel[0],
             kernel_width=kernel[1],
-            in_channel=int(rng.integers(clo, chi + 1)),
-            out_channel=int(rng.integers(clo, chi + 1)),
-            stride=int(scope["strides"][int(rng.integers(0, len(scope["strides"])))]),
-            padding=scope["paddings"][int(rng.integers(0, len(scope["paddings"])))],
+            in_channel=draw(clo, chi),
+            out_channel=draw(clo, chi),
+            stride=int(strides[draw(0, len(strides) - 1)]),
+            padding=paddings[draw(0, len(paddings) - 1)],
         )
     lo, hi = scope["rnn_dim"]
-    step = int(scope["steps"][int(rng.integers(0, len(scope["steps"])))])
+    steps = scope["steps"]
+    step = int(steps[draw(0, len(steps) - 1)])
     factory = gru if kind is LayerKind.GRU else lstm
-    return factory(int(rng.integers(lo, hi + 1)), int(rng.integers(lo, hi + 1)), step)
+    return factory(draw(lo, hi), draw(lo, hi), step)
 
 
 SCOPES: dict[str, dict] = {
@@ -151,40 +263,57 @@ SCOPES: dict[str, dict] = {
     },
 }
 
+_RANGE_FIELDS = ("fc_dim", "cnn_extent", "cnn_channel", "rnn_dim")
+_CHOICE_FIELDS = ("kernels", "paddings", "strides", "steps")
+
+
+def _checked_scope(scope: str) -> dict:
+    """The named scope's ranges as ``(lo, hi)`` integer pairs and its choices as
+    tuples; an empty range or an empty choice list is a ``ValueError`` naming its field."""
+    if scope not in SCOPES:
+        raise ValueError(f"unknown scope {scope!r}; known: {', '.join(sorted(SCOPES))}")
+    fields = SCOPES[scope]
+    checked = {}
+    for name in _RANGE_FIELDS:
+        where = f"scope {scope!r} {name}"
+        lo, hi = (_integer(where, value) for value in fields[name])
+        if not -(2**63) <= lo <= hi < 2**63:
+            raise ValueError(f"{where} must be a range lo <= hi of 64-bit integers, got {lo, hi}")
+        checked[name] = lo, hi
+    for name in _CHOICE_FIELDS:
+        checked[name] = tuple(fields[name])
+        if not checked[name]:
+            raise ValueError(f"scope {scope!r} {name} must hold at least one choice")
+    return checked
+
 
 def generate_plan(
     scope: str = "default", n_networks: int = 120, seed: int = 0
 ) -> list[StructureConfig]:
     """Draw a profiling plan: random layer configurations within a named scope.
 
-    Every field is drawn uniformly and independently from its scope range,
-    deterministically under ``seed``.
+    Each network draws its number of components, 8 to 14, and then each
+    component draws its kind, uniformly over the four kinds, followed by
+    each of that kind's fields, uniformly over the field's scope range or
+    choices; a CNN's kernel is one (height, width) choice.  Every draw is
+    deterministic under ``seed``: it is the value ``int(rng.integers(lo, hi + 1))``
+    gives on ``rng = np.random.default_rng(seed)``.
     """
-    if scope not in SCOPES:
-        raise ValueError(f"unknown scope {scope!r}; known: {', '.join(sorted(SCOPES))}")
+    ranges = _checked_scope(scope)
     n_networks = _integer("n_networks", n_networks, 1)
-    rng = np.random.default_rng(_integer("seed", seed, 0))
-    ranges = SCOPES[scope]
+    draw = _draws(_integer("seed", seed, 0))
     plan: list[StructureConfig] = []
     for _ in range(n_networks):
-        n_components = int(rng.integers(_MIN_COMPONENTS, _MAX_COMPONENTS + 1))
-        plan.extend(_draw_config(rng, ranges) for _ in range(n_components))
+        n_components = draw(_MIN_COMPONENTS, _MAX_COMPONENTS)
+        plan.extend(_draw_config(draw, ranges) for _ in range(n_components))
     return plan
 
 
-# ``json.dumps(obj, sort_keys=True)`` without building an encoder per call
-_encode = json.JSONEncoder(sort_keys=True).encode
-
-
-def _write_records(path: str | Path, records: Iterable[dict]) -> None:
-    """Write each record as one line of sorted-key JSON, the files :func:`_records` reads."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(_encode(record) + "\n")
-
-
 def save_plan(plan: Sequence[StructureConfig], path: str | Path) -> None:
-    _write_records(path, map(config_to_dict, plan))
+    """Write each config as one line of its sorted-key JSON."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for config in plan:
+            fh.write(_config_json(config) + "\n")
 
 
 def _lines(path: str | Path) -> Iterator[tuple[int, bytes]]:
@@ -240,7 +369,6 @@ _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
 # PCG64's 128-bit LCG multiplier
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -278,9 +406,8 @@ def _seed_rows(seed: int, configs: Sequence[StructureConfig]) -> np.ndarray:
     # imported here: hashlib loads OpenSSL, which no other command needs
     import hashlib
 
-    digests = bytearray()
-    for config in configs:
-        digests += hashlib.sha256(_encode(config_to_dict(config)).encode("utf-8")).digest()
+    sha256 = hashlib.sha256
+    digests = b"".join([sha256(_config_json(config).encode()).digest() for config in configs])
     n = len(configs)
     # (low, high) halves of each word
     halves = np.frombuffer(digests, dtype=">u4").reshape(n, 4, 2)[:, :, ::-1].reshape(n, 8)
@@ -426,18 +553,13 @@ def load_oracle(data: bytes | str) -> SyntheticOracle:
 # --- profile files ----------------------------------------------------------
 
 _RECORD_KEYS = {"layer_type", "config", "time_ms", "reps", "source", "schema"}
-_SCHEMA = 1
 
 
 def write_profile(samples: Sequence[ProfileSample], path: str | Path) -> None:
     """Write samples as line-delimited JSON records."""
-
-    def record(sample: ProfileSample) -> dict:
-        config = config_to_dict(sample.config)
-        return {"layer_type": config.pop("kind"), "config": config, "time_ms": sample.time_ms,
-                "reps": sample.reps, "source": sample.source, "schema": _SCHEMA}
-
-    _write_records(path, map(record, samples))
+    with open(path, "w", encoding="utf-8") as fh:
+        for sample in samples:
+            fh.write(_record_json(sample))
 
 
 def read_profile(path: str | Path) -> list[ProfileSample]:

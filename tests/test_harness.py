@@ -2,11 +2,16 @@
 
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import leaf
+from layertime import harness
 from layertime.cli import main
 from layertime.harness import (
     ProfileFormatError,
@@ -75,6 +80,23 @@ def test_unknown_scope_is_an_error():
         generate_plan(scope="galaxy")
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("fc_dim", (5, 4)), ("cnn_extent", (30, 24)), ("cnn_channel", (1, -1)), ("rnn_dim", (2, 1)),
+     ("fc_dim", (1, 2**63)), ("kernels", ()), ("paddings", ()), ("strides", ()), ("steps", ())],
+)
+def test_an_empty_scope_range_is_an_error_naming_its_field(monkeypatch, field, value):
+    monkeypatch.setitem(harness.SCOPES, "narrow", {**harness.SCOPES["default"], field: value})
+    with pytest.raises(ValueError, match=f"scope 'narrow' {field}"):
+        generate_plan(scope="narrow", n_networks=1)
+
+
+def test_a_scope_range_of_one_value_draws_that_value(monkeypatch):
+    monkeypatch.setitem(harness.SCOPES, "narrow", {**harness.SCOPES["default"], "fc_dim": (7, 7)})
+    fcs = [c for c in generate_plan(scope="narrow", n_networks=4) if c.kind is LayerKind.FC]
+    assert fcs and all(c == fc(7, 7) for c in fcs)
+
+
 def test_default_plan_size():
     plan = generate_plan(seed=0)  # 120 networks
     assert 1100 <= len(plan) <= 1500
@@ -121,6 +143,80 @@ def test_plan_and_profile_files_are_lines_of_sorted_key_json(tmp_path):
 
     assert plan_path.read_bytes() == lines(map(config_to_dict, plan)).encode("utf-8")
     assert profile_path.read_bytes() == lines(map(record, samples)).encode("utf-8")
+
+
+class _ForgedText(str):
+    """A source equal to its ``_SOURCES`` entry that prints as something else."""
+
+    def __str__(self):
+        return "forged"
+
+    def __repr__(self):
+        return "forged"
+
+    def __format__(self, spec):
+        return "forged"
+
+
+# counts around 2**53, where a float would no longer hold them, and far past it
+_COUNTS = st.one_of(st.integers(1, 300), st.integers(2**53 - 2, 2**53 + 2), st.integers(1, 2**80))
+
+
+@st.composite
+def _configs(draw):
+    kind = draw(st.sampled_from(LayerKind))
+    if kind is LayerKind.FC:
+        return fc(draw(_COUNTS), draw(_COUNTS))
+    if kind is LayerKind.CNN:
+        height, width = draw(_COUNTS), draw(_COUNTS)
+        return cnn(
+            height, width, draw(st.integers(1, height)), draw(st.integers(1, width)),
+            draw(_COUNTS), draw(_COUNTS), draw(st.sampled_from([1, 2])),
+            draw(st.sampled_from(["valid", "same"])),
+        )
+    return (gru if kind is LayerKind.GRU else lstm)(draw(_COUNTS), draw(_COUNTS), draw(_COUNTS))
+
+
+_EXTREME_TIMES = [5e-324, 1e-300, 1.7976931348623157e308]
+_SAMPLES = st.builds(
+    ProfileSample,
+    config=_configs(),
+    time_ms=st.one_of(
+        st.sampled_from(_EXTREME_TIMES), st.floats(0, 1.7976931348623157e308, exclude_min=True)
+    ),
+    reps=_COUNTS,
+    source=st.sampled_from(["measured", "synthetic", _ForgedText("measured")]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(samples=st.lists(_SAMPLES, max_size=6))
+@example(samples=[
+    ProfileSample(fc(2**53 + 1, 1), 5e-324, 2**64, "measured"),
+    ProfileSample(cnn(24, 24, 3, 3, 8, 2**60, 2, "valid"), 1e-300, 1, _ForgedText("synthetic")),
+    ProfileSample(cnn(5, 9, 7, 2, 2**53, 16, 1, "same"), 1.7976931348623157e308, 3, "synthetic"),
+    ProfileSample(gru(1, 2**70, 20), 0.5, 7, "measured"),
+    ProfileSample(lstm(3, 2, 2**53 - 1), 12.25, 2**80, _ForgedText("measured")),
+])
+def test_plan_and_profile_lines_are_json_dumps_with_sorted_keys(samples):
+    def record(sample):
+        config = config_to_dict(sample.config)
+        return {"layer_type": config.pop("kind"), "config": config, "time_ms": sample.time_ms,
+                "reps": sample.reps, "source": sample.source, "schema": 1}
+
+    configs = [sample.config for sample in samples]
+    with tempfile.TemporaryDirectory() as tmp:
+        plan_path, profile_path = Path(tmp, "plan.jsonl"), Path(tmp, "profile.jsonl")
+        save_plan(configs, plan_path)
+        write_profile(samples, profile_path)
+        plan_bytes, profile_bytes = plan_path.read_bytes(), profile_path.read_bytes()
+    assert plan_bytes == "".join(
+        json.dumps(config_to_dict(config), sort_keys=True) + "\n" for config in configs
+    ).encode()
+    assert profile_bytes == "".join(
+        json.dumps(record(sample), sort_keys=True) + "\n" for sample in samples
+    ).encode()
+    assert b"forged" not in profile_bytes
 
 
 # --- synthetic sampling -----------------------------------------------------------

@@ -1,11 +1,13 @@
 """Plans and synthetic times are drawn from the same random streams as the reference code.
 
-The references below are the plan and noise code as first written: the layer
-kind drawn with ``rng.choice`` over the kind values, and each config's noise
-stream a generator of its own, seeded with ``SeedSequence([seed, *words])``
-over the digest's 64-bit words.  ``synth_profile`` seeds a whole plan's
-streams in one batch instead, and its states are checked against numpy's
-own ``SeedSequence``.
+The references below are the plan and noise code as first written: one
+scalar ``rng.integers`` call per plan draw, with the layer kind drawn by
+``rng.choice`` over the kind values, and each config's noise stream a
+generator of its own, seeded with ``SeedSequence([seed, *words])`` over the
+digest's 64-bit words.  ``generate_plan`` reads its generator's raw words
+instead, and each of its draws is checked against numpy's
+``Generator.integers``; ``synth_profile`` seeds a whole plan's streams in one
+batch, and its states are checked against numpy's own ``SeedSequence``.
 """
 
 import hashlib
@@ -76,13 +78,52 @@ def reference_synth_time(oracle, config):
     return ProfileSample(config=config, time_ms=float(time_ms), source="synthetic")
 
 
+def reference_plan(n_networks, seed):
+    """The default scope's plan loop as first written: one generator, then per
+    network its component count and each component's config."""
+    rng = np.random.default_rng(seed)
+    scope = harness.SCOPES["default"]
+    plan = []
+    for _ in range(n_networks):
+        n_components = int(rng.integers(8, 15))
+        plan.extend(reference_draw_config(rng, scope) for _ in range(n_components))
+    return plan
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**64), n_networks=st.integers(1, 4))
 def test_plan_matches_the_reference_draws(seed, n_networks):
-    plan = generate_plan(n_networks=n_networks, seed=seed)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "_draw_config", reference_draw_config)
-        assert plan == generate_plan(n_networks=n_networks, seed=seed)
+    assert generate_plan(n_networks=n_networks, seed=seed) == reference_plan(n_networks, seed)
+
+
+def test_plans_of_the_first_ten_thousand_seeds_match_the_reference_draws():
+    for seed in range(10_000):
+        assert generate_plan(n_networks=3, seed=seed) == reference_plan(3, seed), seed
+
+
+# spans at and around the 32-bit and 64-bit edges of numpy's algorithm
+_EDGE_SPANS = [1, 2, 3, 2**31, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**40, 2**63 - 1, 2**64]
+
+
+@st.composite
+def _bounds(draw):
+    spans = st.one_of(st.sampled_from(_EDGE_SPANS), st.integers(1, 300), st.integers(1, 2**64))
+    span = draw(spans)
+    lo = draw(st.integers(-(2**63), 2**63 - span))
+    return lo, lo + span - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**128), bounds=st.lists(_bounds(), min_size=1, max_size=40),
+    rounds=st.integers(1, 60),
+)
+def test_draws_equal_numpys_integers_on_a_twin_generator(seed, bounds, rounds):
+    # up to 2,400 draws, so a sequence can run past a block of raw words
+    draw = harness._draws(seed)
+    twin = np.random.default_rng(seed)
+    for lo, hi in bounds * rounds:
+        assert draw(lo, hi) == int(twin.integers(lo, hi + 1)), (lo, hi)
 
 
 _CONFIGS = st.sampled_from(generate_plan(n_networks=8, seed=11))
