@@ -30,7 +30,7 @@ from .layers import (
     width_fields,
 )
 from .nnls import NumericError
-from .tree import Condition, ConditionKind, Dataset, LinearFit, TimeModel, _design
+from .tree import Condition, ConditionKind, Dataset, LinearFit, TimeModel, _design, _round_up
 
 __all__ = [
     "VariableSignificance",
@@ -88,7 +88,7 @@ def coefficient_pvalues(dataset: Dataset) -> SignificanceReport:
     k = len(names)
     n = len(dataset)
     if n <= k + 2:
-        raise ValueError(f"need more than {k + 2} records, got {n}")
+        raise ValueError(f"{dataset.kind.value} p-values need more than {k + 2} records, got {n}")
     X = dataset.explanatory
     y = dataset.times
     design = _design(dataset)
@@ -425,6 +425,27 @@ def verify_region(region: ExpansionRegion) -> ExpansionRegion:
     return dc_replace(region, verified=True)
 
 
+def _regions(model: TimeModel, setting: ConvGeometry) -> dict[int, ExpansionRegion]:
+    """Verified regions at ``delta = tau - 1`` of the multiple nodes on a channel count, by node id.
+
+    A non-finite benefit raises ``NumericError`` before any region is returned.
+    """
+    regions: dict[int, ExpansionRegion] = {}
+    for node_id, node in model.nodes():
+        cond = node.condition
+        if cond is None or cond.kind is not ConditionKind.MULTIPLE:
+            continue
+        axis = _width_at(model.kind, cond.feature_index)
+        if axis is None:
+            continue
+        delta = cond.tau - 1
+        benefit = expansion_benefit(node.left.fit, node.right.fit, setting, delta, axis=axis)
+        if not all(map(math.isfinite, (benefit.a, benefit.b, benefit.c, benefit.d))):
+            raise NumericError(f"node {node_id} has a non-finite expansion benefit")
+        regions[node_id] = verify_region(safe_region(benefit, cond, setting, delta))
+    return regions
+
+
 class SimplifiedTimeModel:
     """Snap-then-route wrapper around a fitted model.
 
@@ -464,22 +485,17 @@ class SimplifiedTimeModel:
         return self.base.kind
 
     def _snap(self, config: StructureConfig) -> StructureConfig | None:
+        if not self.regions:
+            return None
+        setting = ConvGeometry.from_config(config)
         updates: dict[str, int] = {}
         for region in self.regions:
+            if not region.contains(config.in_channel, config.out_channel):
+                return None
+            if region.setting is not None and region.setting != setting:
+                return None
             field = _width_at(self.kind, region.condition.feature_index)
-            u = getattr(config, "in_channel", None)
-            v = getattr(config, "out_channel", None)
-            if u is None or v is None or not region.contains(u, v):
-                return None
-            if region.setting is not None and (
-                ConvGeometry.from_config(config) != region.setting
-            ):
-                return None
-            tau = region.condition.tau
-            value = getattr(config, field)
-            updates[field] = tau * -(-value // tau)
-        if not updates:
-            return None
+            updates[field] = _round_up(getattr(config, field), region.condition.tau)
         return _with_widths(config, **updates)
 
     def predict(self, config: StructureConfig) -> float:

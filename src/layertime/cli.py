@@ -267,11 +267,10 @@ def _cmd_predict(args) -> int:
 def _cmd_analyze(args) -> int:
     from dataclasses import asdict
 
-    from .analysis import ConvGeometry, expansion_benefit, safe_region, verify_region
+    from .analysis import ConvGeometry, _regions
     from .harness import ingest_profile
     from .layers import LayerKind, _width_at
-    from .nnls import NumericError
-    from .tree import FORMAT_VERSION, ConditionKind, _dump, load_models
+    from .tree import FORMAT_VERSION, _dump, load_models
 
     models = _load(args.model, load_models)
     # JSON has no infinity: an exact fit's infinite t and an unbounded region's bound are null
@@ -303,38 +302,22 @@ def _cmd_analyze(args) -> int:
         model = models.get(LayerKind.CNN)
         if model is None:
             raise ValueError("no CNN model in the model file")
-        setting = ConvGeometry.from_config(config)
-        for node_id, node in model.nodes():
-            cond = node.condition
-            if cond is None or cond.kind is not ConditionKind.MULTIPLE:
-                continue
-            feature = _width_at(LayerKind.CNN, cond.feature_index)
-            if feature is None:
-                continue
-            delta = cond.tau - 1
-            benefit = expansion_benefit(
-                node.left.fit, node.right.fit, setting, delta, axis=feature
-            )
-            polynomial = asdict(benefit)
-            if not all(map(math.isfinite, polynomial.values())):
-                raise NumericError(f"node {node_id} has a non-finite expansion benefit")
-            region = verify_region(
-                safe_region(benefit, condition=cond, setting=setting, delta=delta)
-            )
+        for node_id, region in _regions(model, ConvGeometry.from_config(config)).items():
+            feature = _width_at(LayerKind.CNN, region.condition.feature_index)
             report["regions"].append(
                 {
                     "node": node_id,
                     "feature": feature,
-                    "tau": cond.tau,
-                    "delta": delta,
-                    "polynomial": polynomial,
+                    "tau": region.condition.tau,
+                    "delta": region.delta,
+                    "polynomial": asdict(region.contour),
                     "bound": None if math.isinf(region.bound) else region.bound,
                     "verified": region.verified,
                 }
             )
             bound = "inf" if region.bound == float("inf") else f"{region.bound:.3f}"
             print(
-                f"region: node {node_id} {feature} % {cond.tau} -> "
+                f"region: node {node_id} {feature} % {region.condition.tau} -> "
                 f"bound {bound} verified={region.verified}"
             )
 

@@ -2,12 +2,14 @@
 
 Expansion walks a fitted condition tree, rounding width coordinates up to
 the moduli of multiple-condition nodes whenever the node's own fits say
-the rounded structure runs no slower.  Whole networks are expanded layer
-by layer, pricing each layer once; a width conflict between neighbours
-re-prices only the layer each choice changes and keeps the choice with
-the smaller total predicted time.  Compression couples an external loss
-evaluator with the predicted network time into one objective and searches
-layer widths by coordinate descent (or exhaustively, as a test oracle).
+the rounded structure runs no slower.  Each committed rounding strictly
+grows an integer width, never past twice its original, so the walks end.
+Whole networks are expanded layer by layer, pricing each layer once; a
+width conflict between neighbours re-prices only the layer each choice
+changes and keeps the choice with the smaller total predicted time.
+Compression couples an external loss evaluator with the predicted network
+time into one objective and searches layer widths by coordinate descent
+(or exhaustively, as a test oracle).
 
 Expansion is pure given an immutable model.  Evaluator calls are assumed
 expensive and side-effect-free; the search invokes the evaluator at most
@@ -50,6 +52,7 @@ from .tree import (
     _leaf_time,
     _model_for,
     _parse_json,
+    _round_up,
     _route,
 )
 
@@ -219,25 +222,26 @@ def _walk(
             node = node.left if truth else node.right
             continue
         tau = cond.tau
-        value = f[cond.feature_index]
-        target = tau * math.ceil(value / tau)
-        if target == value:
-            # already on the multiple: branch toward the cheaper sibling fit
+        if _holds(cond.kind, tau, f[cond.feature_index]):
+            # routed onto the multiple: branch toward the cheaper sibling fit
             expanded_time = _leaf_time(node.left.fit, x)
             current_time = _leaf_time(node.right.fit, x)
             node = node.left if expanded_time <= current_time else node.right
             continue
         field = _width_at(model.kind, cond.feature_index)
-        if field is not None and target <= _EXPANSION_CAP * getattr(original, field):
-            candidate = _with_widths(current, **{field: target})
-            f_hat, x_hat = _split_row(candidate)
-            expanded_time = _leaf_time(node.left.fit, x_hat)
-            current_time = _leaf_time(node.right.fit, x)
-            if expanded_time <= current_time and _obeys_trail(trail, f_hat):
-                accepted.append(AcceptedExpansion(field, tau, expanded_time, current_time))
-                current, f, x = candidate, f_hat, x_hat
-                node = node.left
-                continue
+        if field is not None:
+            width = getattr(current, field)
+            target = _round_up(width, tau)
+            if width < target <= _EXPANSION_CAP * getattr(original, field):
+                candidate = _with_widths(current, **{field: target})
+                f_hat, x_hat = _split_row(candidate)
+                expanded_time = _leaf_time(node.left.fit, x_hat)
+                current_time = _leaf_time(node.right.fit, x)
+                if expanded_time <= current_time and _obeys_trail(trail, f_hat):
+                    accepted.append(AcceptedExpansion(field, tau, expanded_time, current_time))
+                    current, f, x = candidate, f_hat, x_hat
+                    node = node.left
+                    continue
         node = node.right
     return current, accepted, (f, x)
 
@@ -247,12 +251,14 @@ def expand_layer(
 ) -> tuple[StructureConfig, LayerExpansion]:
     """Round a layer's widths up to nearby execution-time local minima.
 
-    The tree walk is iterated to a fixed point (each committed rounding
-    strictly grows an integer width under a hard 2x cap, so the iteration
-    terminates), and the result is kept only if the full-model prediction
-    did not get worse.  Hence the returned configuration never predicts
-    slower than the input, never shrinks a coordinate, and re-expanding it
-    is a no-op.  The input is derived and priced once, before the walk, so
+    The tree walk is iterated to a fixed point, and the result is kept only
+    if the full-model prediction did not get worse.  Hence the returned
+    configuration never predicts slower than the input, never shrinks a
+    coordinate, and re-expanding it is a no-op.  The iteration ends: each
+    committed rounding strictly grows an integer width to the least
+    multiple of a node's modulus above it, so a width never passes the
+    next common multiple of those moduli at or above its start, nor twice
+    its original.  The input is derived and priced once, before the walk, so
     a config of another kind than the model's is rejected as
     :meth:`TimeModel.predict` rejects it.
     """

@@ -128,6 +128,11 @@ def _holds(kind: ConditionKind, tau, value):
     return value % tau == 0
 
 
+def _round_up(width: int, tau: int) -> int:
+    """The one channel rounding: the least multiple of ``tau`` at or above ``width``, in integers."""
+    return tau * -(-width // tau)
+
+
 def _route(node: "Node", features: Sequence[float]) -> "Node":
     """The leaf that a row of feature values reaches from ``node``.
 

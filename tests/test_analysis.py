@@ -25,6 +25,7 @@ from conftest import (
     random_tree_model,
 )
 from layertime.analysis import (
+    _regions,
     _t_two_sided_pvalue,
     ChannelPolynomial,
     ConvGeometry,
@@ -499,18 +500,12 @@ def test_a_region_between_two_leaves_holds_for_the_models_predictions(seed):
             feature = names.index(str(rng.choice(width_fields(LayerKind.CNN))))
             node.condition = Condition(feature, node.condition.tau, ConditionKind.MULTIPLE)
     base = random_config(rng, LayerKind.CNN)
-    setting = ConvGeometry.from_config(base)
-    for _, node in model.nodes():
-        cond = node.condition
-        if cond is None or cond.kind is not ConditionKind.MULTIPLE:
-            continue
-        if not (node.left.is_leaf and node.right.is_leaf):
+    nodes = dict(model.nodes())
+    for node_id, region in _regions(model, ConvGeometry.from_config(base)).items():
+        node, cond = nodes[node_id], region.condition
+        if not (region.verified and node.left.is_leaf and node.right.is_leaf):
             continue
         field = names[cond.feature_index]
-        benefit = expansion_benefit(node.left.fit, node.right.fit, setting, cond.tau - 1, field)
-        region = verify_region(safe_region(benefit))
-        if not region.verified:
-            continue
         top = int(min(region.bound, 512))
         for u, v in rng.integers(1, top + 1, size=(50, 2)).tolist():
             config = dataclasses.replace(base, in_channel=u, out_channel=v)

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from conftest import two_leaf_channel_model, leaf
+from conftest import B_FALSE, IN_CHANNEL, OUT_CHANNEL, W_FALSE, leaf, two_leaf_channel_model
 from layertime import cli
 from layertime.cli import _parse_width_grid, main
 from layertime.harness import (
@@ -32,7 +32,16 @@ from layertime.steering import (
     load_network,
     save_network,
 )
-from layertime.tree import FORMAT_VERSION, ModelFormatError, TimeModel, load_models, save_models
+from layertime.tree import (
+    FORMAT_VERSION,
+    Condition,
+    ConditionKind,
+    ModelFormatError,
+    Node,
+    TimeModel,
+    load_models,
+    save_models,
+)
 
 
 def write_reference_model(tmp_path):
@@ -309,6 +318,74 @@ def test_non_finite_expansion_benefit_exits_three_and_writes_nothing(tmp_path, c
     ]) == 3
     assert capsys.readouterr().err == "error: numeric: node 0 has a non-finite expansion benefit\n"
     assert not report_path.exists()
+
+
+def test_a_non_finite_benefit_at_a_later_node_prints_no_region(tmp_path, capsys):
+    # node 0's benefit is finite and node 2's is not: every region is built
+    # before the first one is printed
+    model = two_leaf_channel_model()
+    model.root.right = Node(
+        fit=model.root.right.fit,
+        condition=Condition(OUT_CHANNEL, 2, ConditionKind.MULTIPLE),
+        left=leaf((1.5e308, 0.0, 0.0), 0.0),
+        right=leaf(W_FALSE, B_FALSE),
+    )
+    model_path = tmp_path / "model.json"
+    model_path.write_bytes(save_models({LayerKind.CNN: model}))
+    report_path = tmp_path / "report.json"
+    assert main([
+        "analyze", "--model", str(model_path),
+        "--config", str(_write_config(tmp_path, cnn(24, 24, 3, 3, 43, 64))),
+        "--out", str(report_path),
+    ]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: numeric: node 2 has a non-finite expansion benefit\n"
+    assert not report_path.exists()
+
+
+def test_analyze_names_the_kind_with_too_few_records(tmp_path, capsys):
+    plan = generate_plan(n_networks=30, seed=2)
+    cnn_plan = [c for c in plan if c.kind is LayerKind.CNN]
+    fc_plan = [c for c in plan if c.kind is LayerKind.FC][:3]
+    profile = tmp_path / "profile.jsonl"
+    write_profile(synth_profile(default_oracle(noise=0.01, seed=1), cnn_plan + fc_plan), profile)
+    assert main([
+        "analyze", "--model", str(write_reference_model(tmp_path)), "--dataset", str(profile),
+        "--out", str(tmp_path / "report.json"),
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("CNN p-values: ") and captured.out.count("\n") == 1
+    assert captured.err == "error: data: FC p-values need more than 5 records, got 3\n"
+
+
+def test_expand_ends_on_a_width_past_float_precision(tmp_path):
+    # float(2**53 + 1) is 2**53, which is not a multiple of 3, although the
+    # width is: a rounding read from the float would commit the same width
+    # on every walk
+    root = Node(
+        fit=leaf((0.0, 0.0, 0.0), 2.0).fit,
+        condition=Condition(IN_CHANNEL, 3, ConditionKind.MULTIPLE),
+        left=leaf((0.0, 0.0, 0.0), 1.0),
+        right=leaf((0.0, 0.0, 0.0), 2.0),
+    )
+    model_path = tmp_path / "model.json"
+    model_path.write_bytes(save_models({LayerKind.CNN: TimeModel(LayerKind.CNN, root)}))
+    net = NetworkSpec((cnn(24, 24, 3, 3, 2**53 + 1, 8),))
+    net_path = tmp_path / "net.json"
+    net_path.write_bytes(save_network(net))
+    out_path = tmp_path / "expanded.json"
+    result = subprocess.run(
+        [
+            sys.executable, "-m", "layertime.cli", "expand", "--model", str(model_path),
+            "--network", str(net_path), "--out", str(out_path),
+        ],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[0] == "layer 0 (CNN): 2.000 ms -> 2.000 ms"
+    assert load_network(out_path.read_bytes()) == net
 
 
 def test_usage_errors_exit_one(capsys):

@@ -1257,6 +1257,24 @@ def test_expand_layer_never_slower_never_narrower_and_a_fixed_point(kind, max_de
 
 
 @settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    field=st.sampled_from(width_fields(LayerKind.CNN)),
+    width=st.integers(2**53 - 64, 2**62),
+)
+def test_expand_layer_ends_on_widths_past_float_precision(seed, field, width):
+    # past 2**53 a width's float feature is not the width itself, so a
+    # rounding read from the feature can leave the integer width unchanged
+    rng = np.random.default_rng(seed)
+    model = width_tree_model(rng, LayerKind.CNN)
+    config = dataclasses.replace(random_config(rng, LayerKind.CNN), **{field: width})
+    expanded, _ = expand_layer(model, config)
+    for name in width_fields(LayerKind.CNN):
+        assert getattr(expanded, name) >= getattr(config, name)
+    assert expand_layer(model, expanded)[0] == expanded
+
+
+@settings(max_examples=200, deadline=None)
 @given(kinds=st.lists(_KINDS, max_size=5), max_depth=_DEPTHS, seed=st.integers(0, 2**32 - 1))
 def test_expand_network_is_consistent_and_never_slower(kinds, max_depth, seed):
     models, net = random_network(np.random.default_rng(seed), kinds, max_depth)
