@@ -29,17 +29,15 @@ from .layers import (
     LayerKind,
     Padding,
     StructureConfig,
+    _configs_of_rows,
     _integer,
     _number,
     _split_columns,
     _split_row,
-    cnn,
     config_from_dict,
-    fc,
     feature_names,
-    gru,
-    lstm,
 )
+from .nnls import NumericError
 from .tree import (
     Condition,
     ConditionKind,
@@ -223,31 +221,46 @@ def _draws(seed: int) -> Callable[[int, int], int]:
     return draw
 
 
-def _draw_config(draw: Callable[[int, int], int], scope: dict) -> StructureConfig:
-    kind = _KINDS[draw(0, len(_KINDS) - 1)]
-    if kind is LayerKind.FC:
-        lo, hi = scope["fc_dim"]
-        return fc(draw(lo, hi), draw(lo, hi))
-    if kind is LayerKind.CNN:
-        lo, hi = scope["cnn_extent"]
-        clo, chi = scope["cnn_channel"]
-        kernels, strides, paddings = scope["kernels"], scope["strides"], scope["paddings"]
-        kernel = kernels[draw(0, len(kernels) - 1)]
-        return cnn(
-            in_height=draw(lo, hi),
-            in_width=draw(lo, hi),
-            kernel_height=kernel[0],
-            kernel_width=kernel[1],
-            in_channel=draw(clo, chi),
-            out_channel=draw(clo, chi),
-            stride=int(strides[draw(0, len(strides) - 1)]),
-            padding=paddings[draw(0, len(paddings) - 1)],
+def _row_drawers(draw: Callable[[int, int], int], scope: dict) -> tuple[Callable[[], tuple], ...]:
+    """Per kind, in ``_KINDS`` order, a function that draws one config's field
+    values, returned in canonical order.
+
+    The values are drawn in the order the constructors' arguments list them,
+    except that a CNN's kernel is drawn first and a recurrent layer's step
+    before its dimensions; choices go through ``int()`` as they are drawn.
+    """
+    fc_lo, fc_hi = scope["fc_dim"]
+    lo, hi = scope["cnn_extent"]
+    clo, chi = scope["cnn_channel"]
+    rnn_lo, rnn_hi = scope["rnn_dim"]
+    kernels, strides, paddings, steps = (
+        scope[name] for name in ("kernels", "strides", "paddings", "steps")
+    )
+    n_kernels, n_strides, n_paddings, n_steps = (
+        len(choices) - 1 for choices in (kernels, strides, paddings, steps)
+    )
+
+    def fc_row() -> tuple:
+        return draw(fc_lo, fc_hi), draw(fc_lo, fc_hi)
+
+    def cnn_row() -> tuple:
+        kernel = kernels[draw(0, n_kernels)]
+        in_height, in_width = draw(lo, hi), draw(lo, hi)
+        kernel_height, kernel_width = kernel[0], kernel[1]
+        in_channel, out_channel = draw(clo, chi), draw(clo, chi)
+        stride = int(strides[draw(0, n_strides)])
+        padding = paddings[draw(0, n_paddings)]
+        return (
+            in_height, in_width, kernel_height, kernel_width, in_channel, out_channel,
+            padding, stride,
         )
-    lo, hi = scope["rnn_dim"]
-    steps = scope["steps"]
-    step = int(steps[draw(0, len(steps) - 1)])
-    factory = gru if kind is LayerKind.GRU else lstm
-    return factory(draw(lo, hi), draw(lo, hi), step)
+
+    def rnn_row() -> tuple:
+        step = int(steps[draw(0, n_steps)])
+        return draw(rnn_lo, rnn_hi), draw(rnn_lo, rnn_hi), step
+
+    drawers = {LayerKind.FC: fc_row, LayerKind.CNN: cnn_row}
+    return tuple(drawers.get(kind, rnn_row) for kind in _KINDS)
 
 
 SCOPES: dict[str, dict] = {
@@ -269,7 +282,11 @@ _CHOICE_FIELDS = ("kernels", "paddings", "strides", "steps")
 
 def _checked_scope(scope: str) -> dict:
     """The named scope's ranges as ``(lo, hi)`` integer pairs and its choices as
-    tuples; an empty range or an empty choice list is a ``ValueError`` naming its field."""
+    tuples; an empty range or an empty choice list is a ``ValueError`` naming its field.
+
+    A padding text is held as its :class:`Padding`, as the constructor stores
+    it; any other padding choice is kept, for the constructor to reject.
+    """
     if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}; known: {', '.join(sorted(SCOPES))}")
     fields = SCOPES[scope]
@@ -284,7 +301,18 @@ def _checked_scope(scope: str) -> dict:
         checked[name] = tuple(fields[name])
         if not checked[name]:
             raise ValueError(f"scope {scope!r} {name} must hold at least one choice")
+    checked["paddings"] = tuple(map(_as_padding, checked["paddings"]))
     return checked
+
+
+def _as_padding(choice):
+    """A padding text as its :class:`Padding`; any other choice as it is."""
+    if isinstance(choice, str):
+        try:
+            return Padding(choice)
+        except ValueError:
+            pass
+    return choice
 
 
 def generate_plan(
@@ -298,22 +326,49 @@ def generate_plan(
     choices; a CNN's kernel is one (height, width) choice.  Every draw is
     deterministic under ``seed``: it is the value ``int(rng.integers(lo, hi + 1))``
     gives on ``rng = np.random.default_rng(seed)``.
+
+    The drawn values are checked by column, one column per field of a
+    kind, and the configs built without a constructor call each.  A plan
+    that breaks a rule is built through the constructors instead, which
+    raise the error of its first failing config.
     """
     ranges = _checked_scope(scope)
     n_networks = _integer("n_networks", n_networks, 1)
     draw = _draws(_integer("seed", seed, 0))
-    plan: list[StructureConfig] = []
-    for _ in range(n_networks):
-        n_components = draw(_MIN_COMPONENTS, _MAX_COMPONENTS)
-        plan.extend(_draw_config(draw, ranges) for _ in range(n_components))
-    return plan
+    drawers = _row_drawers(draw, ranges)
+    # each config's kind, as its index in _KINDS, and each kind's rows of field values
+    kinds: list[int] = []
+    rows: tuple[list[tuple], ...] = tuple([] for _ in _KINDS)
+    try:
+        for _ in range(n_networks):
+            for _ in range(draw(_MIN_COMPONENTS, _MAX_COMPONENTS)):
+                k = draw(0, len(_KINDS) - 1)
+                rows[k].append(drawers[k]())
+                kinds.append(k)
+    except Exception:
+        # a failed draw comes after the configs drawn before it were built
+        _construct(kinds, rows)
+        raise
+    built = [_configs_of_rows(kind, kind_rows) for kind, kind_rows in zip(_KINDS, rows)]
+    if None in built:
+        return _construct(kinds, rows)
+    next_configs = [iter(configs).__next__ for configs in built]
+    return [next_configs[k]() for k in kinds]
+
+
+def _construct(kinds: Sequence[int], rows: Sequence[Sequence[tuple]]) -> list[StructureConfig]:
+    """:func:`generate_plan`'s configs in plan order, each built by the constructor."""
+    next_rows = [iter(kind_rows).__next__ for kind_rows in rows]
+    return [
+        StructureConfig(_KINDS[k], **dict(zip(_FIELDS_BY_KIND[_KINDS[k]], next_rows[k]())))
+        for k in kinds
+    ]
 
 
 def save_plan(plan: Sequence[StructureConfig], path: str | Path) -> None:
     """Write each config as one line of its sorted-key JSON."""
     with open(path, "w", encoding="utf-8") as fh:
-        for config in plan:
-            fh.write(_config_json(config) + "\n")
+        fh.writelines(_config_json(config) + "\n" for config in plan)
 
 
 def _lines(path: str | Path) -> Iterator[tuple[int, bytes]]:
@@ -444,24 +499,32 @@ def _noise_streams(
     """A generator per config, in order, each in the state of
     ``np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF, *words]))``.
 
-    It is one generator, moved to the next config's state each time, so a
-    caller draws from it before asking for the next one.
+    It is one generator, moved to the next config's state each time through
+    one reused state dict, so a caller draws from it before asking for the
+    next one.
     """
     rng = np.random.Generator(np.random.PCG64(0))
     bit_generator = rng.bit_generator
-    for row in _seed_rows(seed, configs):
-        s_hi, s_lo, i_hi, i_lo = row.tolist()
+    lcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": lcg, "has_uint32": 0, "uinteger": 0}
+    for s_hi, s_lo, i_hi, i_lo in _seed_rows(seed, configs).tolist():
         # PCG64's srandom step: the increment is (sequence << 1) | 1, and the
         # state is seed + increment, advanced one LCG step
         inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
-        state = ((((s_hi << 64) | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        lcg["state"] = ((((s_hi << 64) | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
+        lcg["inc"] = inc
+        bit_generator.state = state
         yield rng
+
+
+def _noisy_time(base: float, rng: np.random.Generator, noise: float) -> float:
+    """``base`` times ``1 + N(0, noise)``, drawn from ``rng`` until it is positive
+    (``1e-6`` of ``base`` after 100 draws)."""
+    for _ in range(100):
+        time_ms = base * (1.0 + rng.normal(0.0, noise))
+        if time_ms > 0:
+            return time_ms
+    return base * 1e-6
 
 
 def synth_time(oracle: SyntheticOracle, config: StructureConfig) -> ProfileSample:
@@ -478,23 +541,88 @@ def synth_profile(
     0, that time times ``1 + N(0, noise)``, drawn from the config's own
     noise stream until it is positive (``1e-6`` of the planted time after
     100 draws).
+
+    The plan is synthesized by column: each kind's planted times come from
+    one :meth:`TimeModel.predict_rows` over its configs' derived columns,
+    each stream's first draw scales its time in one array operation, and
+    the times are checked as one column before the samples are built.  A
+    plan that the columns cannot price (a kind without a model, a size of
+    ``2**53`` or more, a time that is not finite or not positive) is
+    synthesized config by config instead, which gives the same samples or
+    raises the error of its first failing config.
     """
+    samples = _synth_columns(oracle, plan)
+    return _synth_records(oracle, plan) if samples is None else samples
+
+
+def _synth_columns(
+    oracle: SyntheticOracle, plan: Sequence[StructureConfig]
+) -> list[ProfileSample] | None:
+    """:func:`synth_profile`'s samples by column, or ``None`` when a config
+    needs :func:`_synth_records` to report it (or to price it)."""
+    base = _planted_times(oracle.models, plan)
+    if base is None:
+        return None
+    times = base
+    if oracle.noise > 0:
+        noise = oracle.noise
+        streams = _noise_streams(oracle.seed, plan)
+        times = base * (1.0 + np.array([rng.normal(0.0, noise) for rng in streams]))
+        # only a time that is not positive draws on along its own stream
+        for i in np.flatnonzero(~(times > 0)).tolist():
+            (rng,) = _noise_streams(oracle.seed, [plan[i]])
+            times[i] = _noisy_time(base[i], rng, noise)
+    if not ((0 < times) & (times < math.inf)).all():
+        return None
+    samples = []
+    for config, time_ms in zip(plan, times.tolist()):
+        # the constructor's checks hold for the whole column above
+        sample = object.__new__(ProfileSample)
+        sample.__dict__.update(config=config, time_ms=time_ms, reps=1, source="synthetic")
+        samples.append(sample)
+    return samples
+
+
+def _planted_times(
+    models: Mapping[LayerKind, TimeModel], plan: Sequence[StructureConfig]
+) -> np.ndarray | None:
+    """Each config's planted time, priced one kind at a time, or ``None`` when
+    a kind has no model of its own, a kind's sizes cannot be derived by
+    column, or a price is not finite."""
+    rows_of: dict[LayerKind, list[int]] = {}
+    for i, config in enumerate(plan):
+        rows_of.setdefault(config.kind, []).append(i)
+    times = np.empty(len(plan))
+    for kind, rows in rows_of.items():
+        model = models.get(kind)
+        if model is None or model.kind is not kind:
+            return None
+        names = _FIELDS_BY_KIND[kind]
+        values = map(operator.attrgetter(*names), map(plan.__getitem__, rows))
+        split = _split_columns(kind, dict(zip(names, zip(*values))))
+        if split is None:
+            return None
+        try:
+            times[rows] = model.predict_rows(*split)
+        except (NumericError, IndexError, ValueError):
+            return None
+    return times
+
+
+def _synth_records(
+    oracle: SyntheticOracle, plan: Sequence[StructureConfig]
+) -> list[ProfileSample]:
+    """:func:`synth_profile` config by config: a :meth:`TimeModel.predict`,
+    a noisy time and a checked :class:`ProfileSample` each."""
     streams = _noise_streams(oracle.seed, plan) if oracle.noise > 0 else None
     samples = []
     for config in plan:
         model = oracle.models.get(config.kind)
         if model is None:
             raise ValueError(f"oracle does not cover kind {config.kind.value}")
-        base = model.predict(config)
-        time_ms = base
+        time_ms = model.predict(config)
         if streams is not None:
-            rng = next(streams)
-            for _ in range(100):
-                time_ms = base * (1.0 + rng.normal(0.0, oracle.noise))
-                if time_ms > 0:
-                    break
-            else:
-                time_ms = base * 1e-6
+            time_ms = _noisy_time(time_ms, next(streams), oracle.noise)
         samples.append(ProfileSample(config=config, time_ms=float(time_ms), source="synthetic"))
     return samples
 
@@ -558,8 +686,7 @@ _RECORD_KEYS = {"layer_type", "config", "time_ms", "reps", "source", "schema"}
 def write_profile(samples: Sequence[ProfileSample], path: str | Path) -> None:
     """Write samples as line-delimited JSON records."""
     with open(path, "w", encoding="utf-8") as fh:
-        for sample in samples:
-            fh.write(_record_json(sample))
+        fh.writelines(map(_record_json, samples))
 
 
 def read_profile(path: str | Path) -> list[ProfileSample]:

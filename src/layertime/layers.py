@@ -13,6 +13,7 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
+from itertools import repeat
 from types import SimpleNamespace
 from typing import Mapping, Sequence
 
@@ -180,9 +181,11 @@ class StructureConfig:
 # Every structural field, in the order ``StructureConfig`` declares it.
 _ALL_FIELDS = StructureConfig.__slots__[1:]
 
-# Every slot of a config read in one call, and each slot's setter by name.
+# Every slot of a config read in one call, each slot's setter in slot order,
+# and each slot's position by name.
 _SLOT_VALUES = operator.attrgetter(*StructureConfig.__slots__)
-_SLOT_SETTERS = {name: getattr(StructureConfig, name).__set__ for name in StructureConfig.__slots__}
+_SLOT_SETTERS = tuple(getattr(StructureConfig, name).__set__ for name in StructureConfig.__slots__)
+_SLOT_INDEX = {name: i for i, name in enumerate(StructureConfig.__slots__)}
 
 # Per kind, every field in ``_ALL_FIELDS`` order with whether the kind
 # requires it: validation walks this plan instead of testing membership.
@@ -328,6 +331,19 @@ def _width_at(kind: LayerKind, index: int) -> str | None:
     return field if field in width_fields(kind) else None
 
 
+def _config_of(slots: Sequence) -> StructureConfig:
+    """The config whose slots hold ``slots``, given in ``__slots__`` order, unchecked.
+
+    The one builder of a config that skips the constructor: callers pass
+    only values that it would store as given.
+    """
+    config = object.__new__(StructureConfig)
+    # the slots' own setters write past the frozen __setattr__
+    for set_slot, value in zip(_SLOT_SETTERS, slots):
+        set_slot(config, value)
+    return config
+
+
 def _with_widths(config: StructureConfig, **widths: int) -> StructureConfig:
     """A copy of ``config`` with some of its width fields changed.
 
@@ -337,18 +353,46 @@ def _with_widths(config: StructureConfig, **widths: int) -> StructureConfig:
     config the constructor would build, at a fraction of its cost.
     """
     allowed = width_fields(config.kind)
+    slots = list(_SLOT_VALUES(config))
     for name, value in widths.items():
         if name not in allowed:
             raise ValueError(f"{name} is not a width field of {config.kind.value} layers")
         if type(value) is not int or value < 1:
-            widths[name] = _integer(name, value, 1)
-    copy = object.__new__(StructureConfig)
-    # the slots' own setters write past the frozen __setattr__
-    for set_slot, value in zip(_SLOT_SETTERS.values(), _SLOT_VALUES(config)):
-        set_slot(copy, value)
-    for name, value in widths.items():
-        _SLOT_SETTERS[name](copy, value)
-    return copy
+            value = _integer(name, value, 1)
+        slots[_SLOT_INDEX[name]] = value
+    return _config_of(slots)
+
+
+def _configs_of_rows(kind: LayerKind, rows: Sequence[tuple]) -> list[StructureConfig] | None:
+    """The ``kind`` configs whose field values, in canonical order, are ``rows``.
+
+    The result is ``None`` when the constructor might reject one of them or
+    store a value other than the one given.  Its rules are checked on whole
+    columns: exact ints >= 1, :class:`Padding` members, stride 1 or 2 and
+    the valid-padding fit.  Then each config is built by :func:`_config_of`.
+    """
+    if not rows:
+        return []
+    columns = dict(zip(_FIELDS_BY_KIND[kind], zip(*rows)))
+    for name, column in columns.items():
+        if name == "padding":
+            if set(map(type, column)) != {Padding}:
+                return None
+        elif not (set(map(type, column)) == {int} and min(column) >= 1):
+            return None
+    if kind is _CNN and not (
+        set(columns["stride"]) <= {1, 2}
+        and all(
+            padding is not _VALID or (k_h <= in_h and k_w <= in_w)
+            for padding, k_h, in_h, k_w, in_w in zip(
+                columns["padding"], columns["kernel_height"], columns["in_height"],
+                columns["kernel_width"], columns["in_width"],
+            )
+        )
+    ):
+        return None
+    slots = [repeat(kind)] + [columns.get(name, repeat(None)) for name in _ALL_FIELDS]
+    return list(map(_config_of, zip(*slots)))
 
 
 def _derived(config: StructureConfig) -> tuple[int, int, int, int, int]:
@@ -429,8 +473,10 @@ def _row_values(config: StructureConfig) -> list[float]:
 #: Floats hold every integer below this exactly.
 _EXACT = 2.0**53
 
-# each padding text, as the code its feature holds
-_PADDING_BY_TEXT = {padding.value: float(code) for padding, code in PADDING_CODES.items()}
+# each padding, by its text and by its member, as the code its feature holds
+_PADDING_FEATURES = {
+    key: float(code) for padding, code in PADDING_CODES.items() for key in (padding.value, padding)
+}
 
 
 def _split_columns(
@@ -439,13 +485,14 @@ def _split_columns(
     """:func:`_split_row` of many configs at once, as ``(features, explanatory)`` matrices.
 
     ``fields`` maps each field of ``kind`` to its column of raw values, one
-    per config, as a profile record holds them (padding as its text).  Row
+    per config, as a profile record holds them (padding as its text) or as
+    a config holds them (padding as a :class:`Padding`).  Row
     ``i`` of each matrix is what :func:`_split_row` gives for config ``i``.
     The result is ``None`` when the constructor might reject one of the
     configs, or when a field or a derived size reaches ``2**53``.
 
     The constructor's rules are checked on whole columns: exact ints >= 1,
-    padding text, stride 1 or 2 and the valid-padding fit.  Then
+    a padding text or member, stride 1 or 2 and the valid-padding fit.  Then
     :func:`_derived` runs on float64 columns.  Float arithmetic on integers
     is exact while each partial result stays below ``2**53``, and rounding
     is monotone, so a size that would reach ``2**53`` reads at least that:
@@ -457,7 +504,7 @@ def _split_columns(
         for name in names:
             values = fields[name]
             if name == "padding":
-                codes = map(_PADDING_BY_TEXT.__getitem__, values)
+                codes = map(_PADDING_FEATURES.__getitem__, values)
                 columns[name] = np.fromiter(codes, dtype=float, count=len(values))
             elif set(map(type, values)) == {int}:
                 columns[name] = np.array(values, dtype=float)

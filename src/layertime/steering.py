@@ -253,8 +253,11 @@ def expand_layer(
 
     The tree walk is iterated to a fixed point, and the result is kept only
     if the full-model prediction did not get worse.  Hence the returned
-    configuration never predicts slower than the input, never shrinks a
-    coordinate, and re-expanding it is a no-op.  The iteration ends: each
+    configuration never predicts slower than the input and never shrinks a
+    coordinate.  Re-expanding it is nearly always a no-op, but not always:
+    the 2x cap is taken from the walk's input, so a rounding the cap
+    blocked may pass once the width has grown (a small random tree takes
+    (1, 3) to (1, 4), and (1, 4) to (1, 8)).  The iteration ends: each
     committed rounding strictly grows an integer width to the least
     multiple of a node's modulus above it, so a width never passes the
     next common multiple of those moduli at or above its start, nor twice

@@ -351,23 +351,62 @@ class TimeModel:
         """
         time = _leaf_time(_route(self.root, features).fit, explanatory)
         if not math.isfinite(time):
-            raise NumericError(f"{self.kind.value} model predicts a non-finite time ({time})")
+            raise self._non_finite(time)
         return time
+
+    def _non_finite(self, time: float) -> NumericError:
+        """The error for a prediction ``time`` that is not finite."""
+        return NumericError(f"{self.kind.value} model predicts a non-finite time ({time})")
 
     def predict_rows(self, features: np.ndarray, explanatory: np.ndarray) -> np.ndarray:
         """Vector of predictions for pre-derived feature/explanatory rows.
 
-        Each row routes and is priced as :meth:`predict` routes and prices
-        it, on its Python floats.
+        All rows route together, one tree level at a time: each internal
+        node splits the rows that reach it by :func:`_holds` on their
+        feature column, reading its condition as the walk meets it, and
+        each leaf prices its rows by the BLAS ``ddot`` that :func:`_leaf_time`
+        runs, one row at a time (a stack of one-row ``@`` one-column
+        products), plus the same intercept add.  So each row's bits equal
+        :meth:`predict`'s on that row.
         Raises :class:`ValueError` when the row counts differ, and
-        :class:`NumericError` when any prediction is not finite.
+        :class:`NumericError` for the first row, in row order, whose
+        prediction is not finite.  Rows that a node or a leaf cannot read
+        (an out-of-range feature index, a row of the wrong width) are priced
+        row by row instead, so they raise :meth:`predict`'s error for the
+        first row that meets it.
         """
         features = np.atleast_2d(np.asarray(features, dtype=float))
         explanatory = np.atleast_2d(np.asarray(explanatory, dtype=float))
         if features.shape[0] != explanatory.shape[0]:
             raise ValueError("features and explanatory must agree in row count")
-        rows = zip(features.tolist(), explanatory.tolist())
-        return np.array([self._price_row(f, x) for f, x in rows])
+        n = features.shape[0]
+        times = np.empty(n)
+        level = [(self.root, np.arange(n))] if n else []
+        try:
+            # a non-finite feature or time is found below, not warned about
+            with np.errstate(all="ignore"):
+                while level:
+                    below = []
+                    for node, rows in level:
+                        condition = node.condition
+                        if condition is None:
+                            fit = node.fit
+                            law = explanatory[rows][:, None, :] @ fit.w[:, None]
+                            times[rows] = law[:, 0, 0] + fit.b
+                            continue
+                        column = features[rows, condition.feature_index]
+                        holds = _holds(condition.kind, condition.tau, column)
+                        for child, reached in ((node.left, rows[holds]), (node.right, rows[~holds])):
+                            if reached.size:
+                                below.append((child, reached))
+                    level = below
+        except (IndexError, ValueError):
+            rows = zip(features.tolist(), explanatory.tolist())
+            return np.array([self._price_row(f, x) for f, x in rows])
+        finite = np.isfinite(times)
+        if not finite.all():
+            raise self._non_finite(float(times[np.argmin(finite)]))
+        return times
 
 
 def _model_for(models: Mapping[LayerKind, TimeModel], kind: LayerKind) -> TimeModel:

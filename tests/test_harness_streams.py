@@ -27,7 +27,9 @@ from layertime.harness import (
     synth_profile,
     synth_time,
 )
-from layertime.layers import LayerKind, cnn, config_to_dict, fc, gru, lstm
+from layertime.layers import LayerKind, Padding, cnn, config_to_dict, fc, gru, lstm
+from layertime.nnls import NumericError
+from layertime.tree import LinearFit, Node, TimeModel
 
 
 def reference_draw_config(rng, scope):
@@ -78,11 +80,11 @@ def reference_synth_time(oracle, config):
     return ProfileSample(config=config, time_ms=float(time_ms), source="synthetic")
 
 
-def reference_plan(n_networks, seed):
-    """The default scope's plan loop as first written: one generator, then per
-    network its component count and each component's config."""
+def reference_plan(n_networks, seed, scope="default"):
+    """A scope's plan loop as first written: one generator, then per network
+    its component count and each component's config."""
     rng = np.random.default_rng(seed)
-    scope = harness.SCOPES["default"]
+    scope = harness.SCOPES[scope]
     plan = []
     for _ in range(n_networks):
         n_components = int(rng.integers(8, 15))
@@ -236,3 +238,144 @@ def test_batched_seed_rows_are_numpys_generate_state(plan_seed, seed):
         entropy = [seed & 0xFFFFFFFF, *words]
         expected = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
         assert row.tolist() == expected.tolist()
+
+
+def _outcome(function, *args):
+    """What a call returns, or the type and text of the ``ValueError`` it raises."""
+    try:
+        return function(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# scopes whose draws break a constructor rule somewhere in a 40-network plan,
+# for every seed below; "x" fails at draw time, in int(), as it always has
+_BROKEN_SCOPES = {
+    "channel from 0": {"cnn_channel": (0, 16)},
+    "dimension from 0": {"fc_dim": (0, 3)},
+    "stride choice of 3": {"strides": (1, 3)},
+    "padding of 'full'": {"paddings": ("valid", "full")},
+    "padding of None": {"paddings": ("same", None)},
+    "kernel wider than the extent": {"cnn_extent": (2, 6), "kernels": ((2, 2), (5, 5))},
+    "kernel of a float": {"kernels": ((3, 3), (2.0, 2))},
+    "step of 0": {"steps": (0, 8)},
+    "stride of 'x' after channels from 0": {"strides": (1, "x"), "cnn_channel": (0, 4)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BROKEN_SCOPES))
+def test_a_plan_that_breaks_a_rule_raises_its_first_failing_configs_error(monkeypatch, name):
+    monkeypatch.setitem(harness.SCOPES, "broken", {**harness.SCOPES["default"], **_BROKEN_SCOPES[name]})
+    for seed in range(6):
+        expected = _outcome(reference_plan, 40, seed, "broken")
+        assert isinstance(expected, tuple), "the scope must break a rule"
+        assert _outcome(generate_plan, "broken", 40, seed) == expected, seed
+
+
+# scopes that the constructor accepts after converting a value
+_CONVERTED_SCOPES = {
+    "stride choice of 2.0": {"strides": (1, 2.0)},
+    "step choice of 10.0": {"steps": (8, 10.0)},
+    "kernel of numpy ints": {"kernels": ((np.int64(3), np.int64(3)), (2, 3))},
+    "padding members": {"paddings": (Padding.VALID, "same")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONVERTED_SCOPES))
+def test_a_plan_stores_values_as_the_constructor_does(monkeypatch, name):
+    monkeypatch.setitem(
+        harness.SCOPES, "converted", {**harness.SCOPES["default"], **_CONVERTED_SCOPES[name]}
+    )
+    for seed in range(3):
+        plan = generate_plan("converted", 40, seed)
+        assert plan == reference_plan(40, seed, "converted")
+        counts = {
+            type(getattr(config, name))
+            for config in plan for name in config_to_dict(config) if name not in ("kind", "padding")
+        }
+        assert counts == {int}
+        assert {type(c.padding) for c in plan if c.kind is LayerKind.CNN} == {Padding}
+
+
+def reference_synth_profile(oracle, plan):
+    """``synth_profile`` as a per-config loop: the covering model's ``predict``,
+    then the config's own stream until the time is positive, then a checked sample."""
+    samples = []
+    for config in plan:
+        if config.kind not in oracle.models:
+            raise ValueError(f"oracle does not cover kind {config.kind.value}")
+        samples.append(reference_synth_time(oracle, config))
+    return samples
+
+
+def _synth_outcome(oracle, plan):
+    try:
+        return [(s.config, s.time_ms.hex(), s.reps, s.source) for s in synth_profile(oracle, plan)]
+    except (ValueError, NumericError) as exc:
+        return type(exc), str(exc)
+
+
+def _reference_synth_outcome(oracle, plan):
+    try:
+        samples = reference_synth_profile(oracle, plan)
+        return [(s.config, s.time_ms.hex(), s.reps, s.source) for s in samples]
+    except (ValueError, NumericError) as exc:
+        return type(exc), str(exc)
+
+
+def _law(w, b):
+    return Node(fit=LinearFit(w=np.asarray(w, dtype=float), b=b, n=0, mape=0.0, mse=0.0))
+
+
+# finite weights whose product with a real CNN config overflows
+_OVERFLOWING = TimeModel(kind=LayerKind.CNN, root=_law((1e303, 0.0, 0.0), 1.0))
+# a law that prices every config at 0, which no sample may hold
+_ZERO = TimeModel(kind=LayerKind.GRU, root=_law((0.0, 0.0, 0.0, 0.0), 0.0))
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.02, 3.0])
+@pytest.mark.parametrize(
+    "order",
+    [
+        ("FC", "CNN inf", "GRU zero"),
+        ("CNN inf", "FC", "GRU zero"),
+        ("GRU zero", "CNN inf", "FC"),
+        ("LSTM", "CNN inf"),
+        ("LSTM", "GRU zero", "FC"),
+    ],
+)
+def test_a_failing_plan_raises_the_reference_loops_first_error(order, noise):
+    # FC is not covered, CNN overflows to inf and GRU prices at 0
+    models = {LayerKind.CNN: _OVERFLOWING, LayerKind.GRU: _ZERO}
+    models[LayerKind.LSTM] = default_oracle().models[LayerKind.LSTM]
+    oracle = SyntheticOracle(models, noise=noise, seed=5)
+    configs = {
+        "FC": fc(3, 4), "CNN inf": cnn(24, 24, 3, 3, 44, 64), "GRU zero": gru(3, 4, 8),
+        "LSTM": lstm(5, 6, 10),
+    }
+    plan = [configs[name] for name in order]
+    expected = _reference_synth_outcome(oracle, plan)
+    assert isinstance(expected, tuple)
+    assert _synth_outcome(oracle, plan) == expected
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.02, 3.0])
+def test_a_size_of_2_53_or_more_is_priced_by_predict(noise):
+    oracle = SyntheticOracle(default_oracle().models, noise=noise, seed=9)
+    plan = generate_plan(n_networks=3, seed=4)
+    # 2**40 by 2**20 has 2**60 weights; each is also a neighbour of ordinary configs
+    plan[3:3] = [fc(2**40, 2**20), cnn(24, 24, 3, 3, 2**53, 8), gru(2**53 + 1, 2, 8)]
+    assert harness._planted_times(oracle.models, plan) is None
+    expected = _reference_synth_outcome(oracle, plan)
+    assert isinstance(expected, list)
+    assert _synth_outcome(oracle, plan) == expected
+
+
+@pytest.mark.parametrize("oracle_seed", [0, 1300, 2**40])
+def test_noise_of_3_continues_the_streams_of_non_positive_times(oracle_seed):
+    oracle = SyntheticOracle(default_oracle().models, noise=3.0, seed=oracle_seed)
+    plan = generate_plan(n_networks=20, seed=oracle_seed % 7)
+    # with noise 3.0 about a third of the first draws give a time below 0
+    first = [reference_config_rng(oracle_seed, c).normal(0.0, 3.0) for c in plan]
+    assert sum(1.0 + z <= 0 for z in first) > len(plan) // 5
+    assert _synth_outcome(oracle, plan) == _reference_synth_outcome(oracle, plan)

@@ -939,3 +939,73 @@ def test_bundle_accepts_single_model_document():
     model = planted_depth2_model()
     restored = load_models(save_model(model))
     assert set(restored) == {LayerKind.CNN}
+
+
+def row_by_row(model, features, explanatory):
+    """``predict_rows`` as first written: each row routed and priced by
+    ``predict``'s code, on that row's Python floats."""
+    rows = zip(np.asarray(features, dtype=float).tolist(), np.asarray(explanatory, dtype=float).tolist())
+    return np.array([model._price_row(f, x) for f, x in rows])
+
+
+def _rows_outcome(predict_rows, features, explanatory):
+    """Each row's time as hex, or the type and text of the error raised."""
+    try:
+        return [float(t).hex() for t in predict_rows(features, explanatory)]
+    except (NumericError, IndexError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(list(LayerKind)), seed=st.integers(0, 2**32 - 1),
+    corrupt=st.sampled_from(["none", "explanatory", "features", "index"]),
+)
+def test_batched_predict_rows_equals_the_row_by_row_walk(kind, seed, corrupt):
+    rng = np.random.default_rng(seed)
+    model = random_tree_model(rng, kind, max_depth=4)
+    internal = [node for _, node in model.nodes() if node.condition is not None]
+    n_features = len(layers.feature_names(kind))
+    if internal:
+        # rewritten after build, so the batch must read conditions as it walks
+        node = internal[int(rng.integers(len(internal)))]
+        node.condition = Condition(int(rng.integers(n_features)), int(rng.choice([2, 3])), MULTIPLE)
+    configs = [random_config(rng, kind) for _ in range(40)]
+    rows = [layers._split_row(config) for config in configs]
+    features = np.array([f for f, _ in rows])
+    explanatory = np.array([x for _, x in rows])
+    if corrupt == "none":
+        expected = [model.predict(config).hex() for config in configs]
+        for dtype in (float, np.int64):
+            got = model.predict_rows(features.astype(dtype), explanatory.astype(dtype))
+            assert [float(t).hex() for t in got] == expected
+        return
+    if corrupt == "index" and internal:
+        node = internal[int(rng.integers(len(internal)))]
+        node.condition = Condition(n_features + int(rng.integers(3)), 2, MULTIPLE)
+    # some rows overflow, some are not numbers; routing sees non-finite features too
+    chosen = rng.random(len(configs)) < 0.2
+    target = explanatory if corrupt == "explanatory" else features
+    target[chosen] = rng.choice([np.inf, np.nan, 1e308], size=(chosen.sum(), 1))
+    if corrupt != "explanatory":
+        explanatory[rng.random(len(configs)) < 0.2] = np.inf
+    with np.errstate(all="ignore"):
+        expected = _rows_outcome(lambda f, x: row_by_row(model, f, x), features, explanatory)
+    assert _rows_outcome(model.predict_rows, features, explanatory) == expected
+
+
+def test_an_unreached_out_of_range_index_is_not_read():
+    # the right child's feature index is out of range, and no row goes right
+    bad = Node(fit=leaf((0.0, 0.0, 0.0), 1.0).fit, condition=Condition(99, 2, MULTIPLE),
+               left=leaf((0.0, 0.0, 0.0), 2.0), right=leaf((0.0, 0.0, 0.0), 3.0))
+    root = Node(fit=leaf((0.0, 0.0, 0.0), 1.0).fit, condition=Condition(0, 1e9, RANGE),
+                left=leaf((1.0, 0.0, 0.0), 0.5), right=bad)
+    model = TimeModel(kind=LayerKind.FC, root=root)
+    configs = [fc(3, 4), fc(5, 6)]
+    rows = [layers._split_row(c) for c in configs]
+    features, explanatory = np.array([f for f, _ in rows]), np.array([x for _, x in rows])
+    assert model.predict_rows(features, explanatory).tolist() == [model.predict(c) for c in configs]
+    # a row that does go right meets it, as predict does
+    features[1, 0] = 2e9
+    with pytest.raises(IndexError):
+        model.predict_rows(features, explanatory)
