@@ -19,9 +19,8 @@ from .layers import (
     LayerKind,
     Padding,
     StructureConfig,
-    _derived,
     _integer,
-    _too_large,
+    _split_row,
     _width_at,
     _with_widths,
     cnn,
@@ -246,21 +245,19 @@ def channel_time_polynomial(fit: LinearFit, setting: ConvGeometry) -> ChannelPol
     ``w . x + b``.  Every CNN size is bilinear in the channels, so the
     sizes of the one-channel layer are the polynomial's coefficients.
     """
-    mem_in, mem_out, mem_inter, param_size, flops = _derived(cnn(
+    one_channel = cnn(
         setting.in_height, setting.in_width, setting.kernel_height, setting.kernel_width,
         1, 1, setting.stride, setting.padding,
-    ))
+    )
+    _, (uv_flops, mem, param_size) = _split_row(one_channel)
     w = np.asarray(fit.w, dtype=float)
     if w.shape != (3,):
         raise ValueError("convolutional fits have exactly three weights")
     # at u = v = 1: flops and param_size - 1 (the kernel taps) are the u*v
-    # coefficients, mem_in + mem_inter the u one and mem_out the v one
-    try:
-        uv_flops, uv_taps, u_mem, v_mem = (
-            float(flops), float(param_size - 1), float(mem_in + mem_inter), float(mem_out)
-        )
-    except OverflowError:
-        raise _too_large(LayerKind.CNN) from None
+    # coefficients, mem_out (the output extent) the v one and the rest of
+    # mem the u one; each is an integer below 2**53, so exact as a float
+    v_mem = float(math.prod(setting.output_dims()))
+    uv_taps, u_mem = param_size - 1.0, mem - v_mem
     return ChannelPolynomial(
         a=w[0] * uv_flops + w[2] * uv_taps,
         b=w[1] * u_mem,

@@ -33,7 +33,6 @@ from .layers import (
     _integer,
     _number,
     _split_columns,
-    _split_row,
     config_from_dict,
     feature_names,
 )
@@ -546,10 +545,10 @@ def synth_profile(
     one :meth:`TimeModel.predict_rows` over its configs' derived columns,
     each stream's first draw scales its time in one array operation, and
     the times are checked as one column before the samples are built.  A
-    plan that the columns cannot price (a kind without a model, a size of
-    ``2**53`` or more, a time that is not finite or not positive) is
-    synthesized config by config instead, which gives the same samples or
-    raises the error of its first failing config.
+    plan that the columns cannot price (a kind without a model, a config
+    outside the domain of derivation, a time that is not finite or not
+    positive) is synthesized config by config instead, which gives the same
+    samples or raises the error of its first failing config.
     """
     samples = _synth_columns(oracle, plan)
     return _synth_records(oracle, plan) if samples is None else samples
@@ -693,7 +692,7 @@ def read_profile(path: str | Path) -> list[ProfileSample]:
     """Parse a profile file; malformed records report their line number.
 
     A record is malformed when its config breaks a constructor rule, and
-    also when a size derived from it does not fit a float.
+    also when a field or a size derived from it is ``2**53`` or more.
     """
     samples: list[ProfileSample] = []
     schema_seen: int | None = None
@@ -727,7 +726,6 @@ def read_profile(path: str | Path) -> list[ProfileSample]:
                 reps=record.get("reps", 1),
                 source=record.get("source", "measured"),
             )
-            _split_row(sample.config)
         except ValueError as exc:
             raise ProfileFormatError(f"{where}: {exc}") from exc
         samples.append(sample)
@@ -739,10 +737,10 @@ def ingest_profile(path: str | Path) -> dict[LayerKind, Dataset]:
 
     The file is read by column: each record's fields and time join its
     kind's columns, and every record and config rule is checked on whole
-    columns.  Lines may end in LF or CRLF.  A file that breaks a rule, holds
-    a size of ``2**53`` or more, or pads a record with other spaces, is read
-    again record by record through :func:`read_profile`, so it raises the
-    same located error, or loads the same datasets.
+    columns.  Lines may end in LF or CRLF.  A file that breaks a rule, or
+    pads a record with other spaces, is read again record by record through
+    :func:`read_profile`, so it raises the same located error, or loads the
+    same datasets.
     """
     datasets = _ingest_columns(path)
     return _ingest_records(path) if datasets is None else datasets

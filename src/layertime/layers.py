@@ -432,46 +432,44 @@ def _n_features(kind: LayerKind) -> int:
     return len(_FIELDS_BY_KIND[kind]) + len(_MEMORY_FEATURES)
 
 
+#: Floats hold every integer below this exactly.
+_EXACT = 2**53
+
+
 def _split_row(config: StructureConfig) -> tuple[list[float], list[float]]:
     """``(features, explanatory)`` of a configuration, from one derivation.
 
-    Raises ``ValueError`` when a field or a derived size does not fit a float.
+    The domain: every field and derived size is below ``2**53``, so each
+    float is the integer itself.  The flops and the memory sum bound all of
+    them, so a config whose flops or memory sum reaches ``2**53`` raises
+    ``ValueError``.
     """
     mem_in, mem_out, mem_inter, param_size, flops = _derived(config)
+    mem = mem_in + mem_out + mem_inter
     kind = config.kind
+    if flops >= _EXACT or mem >= _EXACT:
+        raise _too_large(kind)
     # features: structural fields, then the memory features; explanatory:
     # flops, mem and param_size (and step, for recurrent kinds)
-    try:
-        if kind is _CNN:
-            return [
-                float(config.in_height), float(config.in_width),
-                float(config.kernel_height), float(config.kernel_width),
-                float(config.in_channel), float(config.out_channel),
-                float(PADDING_CODES[config.padding]), float(config.stride),
-                float(mem_in), float(mem_out), float(mem_inter), float(param_size),
-            ], [float(flops), float(mem_in + mem_out + mem_inter), float(param_size)]
-        if kind is _FC:
-            return [
-                float(config.in_dim), float(config.out_dim),
-                float(mem_in), float(mem_out), float(mem_inter), float(param_size),
-            ], [float(flops), float(mem_in + mem_out + mem_inter), float(param_size)]
-        step = float(config.step)
+    if kind is _CNN:
         return [
-            float(config.in_dim), float(config.out_dim), step,
+            float(config.in_height), float(config.in_width),
+            float(config.kernel_height), float(config.kernel_width),
+            float(config.in_channel), float(config.out_channel),
+            float(PADDING_CODES[config.padding]), float(config.stride),
             float(mem_in), float(mem_out), float(mem_inter), float(param_size),
-        ], [float(flops), float(mem_in + mem_out + mem_inter), float(param_size), step]
-    except OverflowError:
-        raise _too_large(kind) from None
+        ], [float(flops), float(mem), float(param_size)]
+    if kind is _FC:
+        return [
+            float(config.in_dim), float(config.out_dim),
+            float(mem_in), float(mem_out), float(mem_inter), float(param_size),
+        ], [float(flops), float(mem), float(param_size)]
+    step = float(config.step)
+    return [
+        float(config.in_dim), float(config.out_dim), step,
+        float(mem_in), float(mem_out), float(mem_inter), float(param_size),
+    ], [float(flops), float(mem), float(param_size), step]
 
-
-def _row_values(config: StructureConfig) -> list[float]:
-    """Feature values, then explanatory values, of a configuration: :func:`_split_row` joined."""
-    features, explanatory = _split_row(config)
-    return features + explanatory
-
-
-#: Floats hold every integer below this exactly.
-_EXACT = 2.0**53
 
 # each padding, by its text and by its member, as the code its feature holds
 _PADDING_FEATURES = {
@@ -488,8 +486,9 @@ def _split_columns(
     per config, as a profile record holds them (padding as its text) or as
     a config holds them (padding as a :class:`Padding`).  Row
     ``i`` of each matrix is what :func:`_split_row` gives for config ``i``.
-    The result is ``None`` when the constructor might reject one of the
-    configs, or when a field or a derived size reaches ``2**53``.
+    The result is ``None`` when one of the configs may be rejected, by the
+    constructor or by :func:`_split_row`'s bound of ``2**53``; the caller
+    then derives config by config, which raises the first one's error.
 
     The constructor's rules are checked on whole columns: exact ints >= 1,
     a padding text or member, stride 1 or 2 and the valid-padding fit.  Then
@@ -549,7 +548,7 @@ def _split_columns(
 
 
 def _too_large(kind: LayerKind) -> ValueError:
-    """The error for a ``kind`` config with a field or derived size beyond a float."""
+    """The error for a ``kind`` config with a field or a derived size of ``2**53`` or more."""
     return ValueError(f"{kind.value} config has a size too large for a float")
 
 
@@ -577,7 +576,7 @@ def config_to_dict(config: StructureConfig) -> dict:
 
 
 def config_from_dict(record: dict) -> StructureConfig:
-    """Decode the canonical flat encoding; unknown fields are an error."""
+    """Decode the canonical flat encoding; unknown fields and sizes >= ``2**53`` are errors."""
     if not isinstance(record, dict):
         raise ValueError(f"config record must be an object, got {type(record).__name__}")
     if "kind" not in record:
@@ -598,4 +597,6 @@ def config_from_dict(record: dict) -> StructureConfig:
             f"{kind.value} config is missing: {', '.join(sorted(missing))}"
         )
     kwargs = {name: record[name] for name in allowed}
-    return StructureConfig(kind=kind, **kwargs)
+    config = StructureConfig(kind=kind, **kwargs)
+    _split_row(config)  # a record must lie in the domain: every size below 2**53
+    return config

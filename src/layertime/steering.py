@@ -234,7 +234,11 @@ def _walk(
             target = _round_up(width, tau)
             if width < target <= _EXPANSION_CAP * getattr(original, field):
                 candidate = _with_widths(current, **{field: target})
-                f_hat, x_hat = _split_row(candidate)
+                try:
+                    f_hat, x_hat = _split_row(candidate)
+                except ValueError:  # the rounding leaves the domain: not taken
+                    node = node.right
+                    continue
                 expanded_time = _leaf_time(node.left.fit, x_hat)
                 current_time = _leaf_time(node.right.fit, x)
                 if expanded_time <= current_time and _obeys_trail(trail, f_hat):
@@ -262,8 +266,9 @@ def expand_layer(
     multiple of a node's modulus above it, so a width never passes the
     next common multiple of those moduli at or above its start, nor twice
     its original.  The input is derived and priced once, before the walk, so
-    a config of another kind than the model's is rejected as
-    :meth:`TimeModel.predict` rejects it.
+    a config of another kind than the model's, or with a size of ``2**53``
+    or more, is rejected as :meth:`TimeModel.predict` rejects it.  A rounding
+    that would leave that domain is not taken.
     """
     row = model._row(config)
     time_before = model._price_row(*row)

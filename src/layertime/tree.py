@@ -22,6 +22,7 @@ import enum
 import itertools
 import json
 import math
+import operator
 from collections import deque
 from collections.abc import Sequence as _SequenceABC
 from dataclasses import asdict, dataclass, field, fields
@@ -31,13 +32,15 @@ import numpy as np
 
 from .layers import (
     _EXACT,
+    _FIELDS_BY_KIND,
     LayerKind,
     StructureConfig,
     _integer,
     _n_features,
     _number,
-    _row_values,
+    _split_columns,
     _split_row,
+    _too_large,
     explanatory_names,
 )
 # unused here: bound so that tracers which wrap these names per module find them
@@ -184,30 +187,22 @@ class Dataset:
     ) -> "Dataset":
         if len(configs) != len(times):
             raise ValueError("configs and times must agree in length")
-        n_features = _n_features(kind)
-        n_columns = n_features + len(explanatory_names(kind))
-
-        def row(config: StructureConfig) -> list[float]:
+        for config in configs:
             if config.kind is not kind:
                 raise ValueError(
                     f"dataset of kind {kind.value} got a {config.kind.value} config"
                 )
-            return _row_values(config)
-
-        # streamed into one array, so no row's Python floats outlive the row
-        rows = np.fromiter(
-            itertools.chain.from_iterable(map(row, configs)),
-            dtype=float,
-            count=len(configs) * n_columns,
-        ).reshape(len(configs), n_columns)
-        # contiguous copies, so products over them sum in the same order as
-        # over the matrices of any other dataset
-        return cls(
-            kind=kind,
-            features=np.ascontiguousarray(rows[:, :n_features]),
-            explanatory=np.ascontiguousarray(rows[:, n_features:]),
-            times=np.asarray(times, dtype=float),
-        )
+        times = np.asarray(times, dtype=float)
+        if len(configs) == 0:
+            n_vars = len(explanatory_names(kind))
+            return cls(kind, np.zeros((0, _n_features(kind))), np.zeros((0, n_vars)), times)
+        names = _FIELDS_BY_KIND[kind]
+        values = map(operator.attrgetter(*names), configs)
+        # every config obeys the constructor, so only a size of 2**53 or more is refused
+        split = _split_columns(kind, dict(zip(names, zip(*values))))
+        if split is None:
+            raise _too_large(kind)
+        return cls(kind, *split, times)
 
     def subset(self, mask: np.ndarray) -> "Dataset":
         mask = np.asarray(mask, dtype=bool)

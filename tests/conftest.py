@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,7 @@ def reference_geometry() -> ConvGeometry:
 # --- random structures for property checks -----------------------------------
 
 from layertime.layers import (  # noqa: E402
+    _derived,
     cnn,
     derive_explanatory,
     derive_features,
@@ -95,6 +98,24 @@ def random_config(rng: np.random.Generator, kind: LayerKind):
         int(rng.integers(1, 513)),
         int(rng.choice([8, 10, 15, 20])),
     )
+
+
+def widest(config, field: str) -> int:
+    """The widest ``field`` at which ``config``'s flops and memory sum stay below 2**53.
+
+    Found by bisection over the exact integer sizes, which grow with every
+    width; ``config`` at a ``field`` of 1 must lie inside.
+    """
+    def inside(width: int) -> bool:
+        sizes = _derived(dataclasses.replace(config, **{field: width}))
+        mem_in, mem_out, mem_inter, _, flops = sizes
+        return flops < 2**53 and mem_in + mem_out + mem_inter < 2**53
+
+    low, high = 1, 2**53  # flops are at least any width, so 2**53 lies outside
+    while high - low > 1:
+        middle = (low + high) // 2
+        low, high = (middle, high) if inside(middle) else (low, middle)
+    return low
 
 
 def _random_fit(rng: np.random.Generator, kind: LayerKind) -> LinearFit:

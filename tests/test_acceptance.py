@@ -341,3 +341,60 @@ def test_criterion_9_model_steered_compression_beats_size_driven():
         # the paper's claim is a direction: steering by the model is faster
         assert median < 1.0
         results.append(f"median time ratio {median:.3f} over {len(ratios)} comparisons")
+
+
+# criterion 10: fixed before measuring; plan seed 2 at noise 0.04 fits a tree
+# whose small leaves misprice the headline layers, and it stays in
+LEARNED_NOISES = (0.02, 0.04)
+LEARNED_SEEDS = range(1, 9)
+LEARNED_INSTANCES = HEADLINE_SEEDS[:4]  # few enough for a test of a few seconds
+
+
+def steered_prices(models, real, net, grids, loss):
+    """``(loss, oracle time)`` of the brute-force result steered by ``models``, per lambda."""
+    found = (brute_force_compress(loss, models, net, lam, grids) for lam in HEADLINE_LAMBDAS)
+    return [(loss(net_found), network_time(real, net_found)) for net_found in found]
+
+
+def fastest_within(prices, loss_bound):
+    """The least oracle time among results losing at most ``loss_bound`` (inf if none)."""
+    return min((t for loss, t in prices if loss <= loss_bound), default=math.inf)
+
+
+def test_criterion_10_learned_model_steered_compression_beats_size_driven():
+    title = "learned-model-steered vs FLOP-proxy compression, priced on the oracle"
+    with criterion(10, title) as results:
+        real = {LayerKind.CNN: default_oracle().models[LayerKind.CNN]}
+        instances = []
+        for seed in LEARNED_INSTANCES:
+            net, grids, loss = headline_instance(seed)
+            sized = steered_prices(flop_proxy(real, net), real, net, grids, loss)
+            by_oracle = steered_prices(real, real, net, grids, loss)
+            instances.append((net, grids, loss, sized, by_oracle))
+        ratios = []
+        for noise in LEARNED_NOISES:
+            for seed in LEARNED_SEEDS:
+                plan = generate_plan(n_networks=120, seed=seed)
+                plan = [c for c in plan if c.kind is LayerKind.CNN]
+                samples = synth_profile(default_oracle(noise=noise, seed=seed), plan)
+                dataset = Dataset.from_records(
+                    LayerKind.CNN, [s.config for s in samples], [s.time_ms for s in samples]
+                )
+                learned = {LayerKind.CNN: fit_tree(dataset, FitParams())}
+                device_ratios, regrets = [], []
+                for net, grids, loss, sized, by_oracle in instances:
+                    by_learned = steered_prices(learned, real, net, grids, loss)
+                    for sized_loss, sized_time in sized:
+                        # at the loss of the sized result: against it, and against the oracle
+                        time_learned = fastest_within(by_learned, sized_loss)
+                        device_ratios.append(time_learned / sized_time)
+                        regrets.append(time_learned / fastest_within(by_oracle, sized_loss))
+                ratios += device_ratios
+                results.append(
+                    f"noise {noise} seed {seed}: ratio {np.median(device_ratios):.3f}, "
+                    f"regret {np.median(regrets):.3f}"
+                )
+        median = float(np.median(ratios))
+        # the paper's claim is a direction: steering by a learned model is faster
+        assert median < 1.0
+        results.append(f"median time ratio {median:.3f} over {len(ratios)} comparisons")

@@ -359,10 +359,9 @@ def test_analyze_names_the_kind_with_too_few_records(tmp_path, capsys):
     assert captured.err == "error: data: FC p-values need more than 5 records, got 3\n"
 
 
-def test_expand_ends_on_a_width_past_float_precision(tmp_path):
+def test_expand_rejects_a_network_with_a_width_of_2_53_or_more(tmp_path, capsys):
     # float(2**53 + 1) is 2**53, which is not a multiple of 3, although the
-    # width is: a rounding read from the float would commit the same width
-    # on every walk
+    # width is: no routing may read such a width, so the loader refuses it
     root = Node(
         fit=leaf((0.0, 0.0, 0.0), 2.0).fit,
         condition=Condition(IN_CHANNEL, 3, ConditionKind.MULTIPLE),
@@ -371,21 +370,20 @@ def test_expand_ends_on_a_width_past_float_precision(tmp_path):
     )
     model_path = tmp_path / "model.json"
     model_path.write_bytes(save_models({LayerKind.CNN: TimeModel(LayerKind.CNN, root)}))
-    net = NetworkSpec((cnn(24, 24, 3, 3, 2**53 + 1, 8),))
     net_path = tmp_path / "net.json"
-    net_path.write_bytes(save_network(net))
+    # writers derive no size, so the file holds the width as given
+    net_path.write_bytes(save_network(NetworkSpec((cnn(24, 24, 3, 3, 2**53 + 1, 8),))))
     out_path = tmp_path / "expanded.json"
-    result = subprocess.run(
-        [
-            sys.executable, "-m", "layertime.cli", "expand", "--model", str(model_path),
-            "--network", str(net_path), "--out", str(out_path),
-        ],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    code = main(["expand", "--model", str(model_path), "--network", str(net_path),
+                 "--out", str(out_path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: data: {net_path}: malformed layer record: "
+        "CNN config has a size too large for a float\n"
     )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[0] == "layer 0 (CNN): 2.000 ms -> 2.000 ms"
-    assert load_network(out_path.read_bytes()) == net
+    assert not out_path.exists()
 
 
 def test_usage_errors_exit_one(capsys):
@@ -623,7 +621,9 @@ def test_sizes_beyond_a_float_are_data_errors(tmp_path, capsys, field, value):
     assert main(["predict", "--model", str(model_path), "--config", str(config_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: data: CNN config has a size too large for a float\n"
+    # the loader refuses the record, so the error names the file
+    message = "CNN config has a size too large for a float"
+    assert captured.err == f"error: data: {config_path}: {message}\n"
 
 
 @pytest.mark.parametrize("grid", ["nan", "0.5,nan", "NaN,1"])

@@ -361,14 +361,19 @@ def test_a_failing_plan_raises_the_reference_loops_first_error(order, noise):
 
 @pytest.mark.parametrize("noise", [0.0, 0.02, 3.0])
 def test_a_size_of_2_53_or_more_is_priced_by_predict(noise):
+    # the columns refuse a plan with a config outside the domain, so it goes
+    # config by config to predict, which rejects the first such config
     oracle = SyntheticOracle(default_oracle().models, noise=noise, seed=9)
     plan = generate_plan(n_networks=3, seed=4)
     # 2**40 by 2**20 has 2**60 weights; each is also a neighbour of ordinary configs
     plan[3:3] = [fc(2**40, 2**20), cnn(24, 24, 3, 3, 2**53, 8), gru(2**53 + 1, 2, 8)]
-    assert harness._planted_times(oracle.models, plan) is None
-    expected = _reference_synth_outcome(oracle, plan)
-    assert isinstance(expected, list)
-    assert _synth_outcome(oracle, plan) == expected
+    for first in range(3, 6):
+        kept = plan[:3] + plan[first:]
+        assert harness._planted_times(oracle.models, kept) is None
+        expected = _reference_synth_outcome(oracle, kept)
+        kind = plan[first].kind.value
+        assert expected == (ValueError, f"{kind} config has a size too large for a float")
+        assert _synth_outcome(oracle, kept) == expected
 
 
 @pytest.mark.parametrize("oracle_seed", [0, 1300, 2**40])

@@ -229,8 +229,8 @@ def test_a_crlf_profile_is_read_by_column(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("defect", [
     ('"time_ms": 1.0', '"time_ms": 0.0'),  # an error
-    ('"in_dim": 3', f'"in_dim": {2**53}'),  # a field of 2**53, which loads
-    ('"in_dim": 3', f'"in_dim": {2**50}'),  # flops past 2**53, which load
+    ('"in_dim": 3', f'"in_dim": {2**53}'),  # a field of 2**53: an error
+    ('"in_dim": 3', f'"in_dim": {2**50}'),  # flops past 2**53: an error
 ])
 def test_a_profile_the_columns_cannot_vouch_for_is_read_record_by_record(
     tmp_path, monkeypatch, defect
@@ -240,6 +240,7 @@ def test_a_profile_the_columns_cannot_vouch_for_is_read_record_by_record(
                        "time_ms": 1.0}, sort_keys=True)
     path.write_text(line + "\n" + line.replace(*defect) + "\n")
     expected = outcome(reference_ingest, path)
+    assert expected[0] is ProfileFormatError and expected[1].startswith(f"{path}:2: ")
     calls = _spy_on_read_profile(monkeypatch)
     assert outcome(ingest_profile, path) == expected
     assert calls == [path]

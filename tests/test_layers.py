@@ -15,7 +15,7 @@ from layertime.layers import (
     LayerKind,
     Padding,
     StructureConfig,
-    _row_values,
+    _split_row,
     cnn,
     config_from_dict,
     config_to_dict,
@@ -372,7 +372,7 @@ def test_post_init_matches_the_previous_field_loop(case):
     ids=["huge field", "huge parameter count", "huge product", "huge step product"],
 )
 def test_sizes_beyond_a_float_are_value_errors(config):
-    for derive in (_row_values, derive_features, derive_explanatory):
+    for derive in (_split_row, derive_features, derive_explanatory):
         with pytest.raises(ValueError, match="too large for a float"):
             derive(config)
 
@@ -493,7 +493,7 @@ def test_width_copy_equals_replace(config, which, widths, as_numpy):
     assert [type(v) for v in dataclasses.astuple(copy)] == [
         type(v) for v in dataclasses.astuple(expected)
     ]
-    assert _row_values(copy) == _row_values(expected)
+    assert _split_row(copy) == _split_row(expected)
     assert dataclasses.astuple(config) == before
 
 
@@ -555,25 +555,28 @@ def reference_derived(config):
 
 
 def reference_row_values(config):
+    """Feature values, then explanatory values, as floats of integers each below 2**53."""
     mem_in, mem_out, mem_inter, param_size, flops = reference_derived(config)
     values = []
-    try:
-        for name in layers._FIELDS_BY_KIND[config.kind]:
-            raw = getattr(config, name)
-            values.append(float(layers.PADDING_CODES[raw] if name == "padding" else raw))
-        values += (float(mem_in), float(mem_out), float(mem_inter), float(param_size))
-        values += (float(flops), float(mem_in + mem_out + mem_inter), float(param_size))
-        if config.kind in layers.RECURRENT_KINDS:
-            values.append(float(config.step))
-    except OverflowError:
-        raise ValueError(
-            f"{config.kind.value} config has a size too large for a float"
-        ) from None
-    return values
+    for name in layers._FIELDS_BY_KIND[config.kind]:
+        raw = getattr(config, name)
+        values.append(layers.PADDING_CODES[raw] if name == "padding" else raw)
+    values += (mem_in, mem_out, mem_inter, param_size)
+    values += (flops, mem_in + mem_out + mem_inter, param_size)
+    if config.kind in layers.RECURRENT_KINDS:
+        values.append(config.step)
+    if max(values) >= 2**53:
+        raise ValueError(f"{config.kind.value} config has a size too large for a float")
+    return [float(v) for v in values]
+
+
+def row_values(config):
+    features, explanatory = _split_row(config)
+    return features + explanatory
 
 
 def huge_config():
-    """Configs whose fields or derived sizes may not fit a float."""
+    """Configs whose fields or derived sizes may reach 2**53, or not fit a float."""
     size = st.one_of(st.integers(1, 4096), st.integers(1, 10**320))
     cnn_configs = st.tuples(
         st.one_of(st.integers(24, 225), st.integers(24, 10**200)),
@@ -592,16 +595,18 @@ def huge_config():
 @given(config=st.one_of(any_config(), huge_config()))
 @example(config=cnn(24, 24, 3, 3, 10**400, 16))
 @example(config=lstm(10**200, 4, 10**200))
+@example(config=fc(2**52 - 1, 1))  # flops of 2**53 - 1, the largest accepted
+@example(config=fc(2**52, 1))  # flops of 2**53 + 1, each field below 2**53
 def test_row_values_equal_the_replaced_builder(config):
     try:
         expected = reference_row_values(config)
     except ValueError as exc:
         with pytest.raises(ValueError) as got:
-            _row_values(config)
+            row_values(config)
         assert str(got.value) == str(exc)
         return
     assert layers._derived(config) == reference_derived(config)
-    got = _row_values(config)
+    got = row_values(config)
     assert type(got) is list and [type(v) for v in got] == [float] * len(expected)
     assert [v.hex() for v in got] == [v.hex() for v in expected]
 

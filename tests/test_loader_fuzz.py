@@ -5,11 +5,13 @@ container is replaced by a value of another JSON kind (null, a bool, a
 string, a float, an integer too large for a float, NaN, a list, an object),
 or an integer by the equal float.  The loader must raise its documented
 error and nothing else.  The one mutation that may load is an integral
-float as a ``multiple`` condition's ``tau``.
+float as a ``multiple`` condition's ``tau``.  A config with a field or a
+derived size of ``2**53`` or more is a located format error too.
 """
 
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -17,11 +19,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import leaf, two_leaf_channel_model
+from layertime import harness
 from layertime.cli import main
 from layertime.harness import (
     ProfileFormatError,
     ProfileSample,
     default_oracle,
+    ingest_profile,
     load_oracle,
     load_plan,
     read_profile,
@@ -206,3 +210,57 @@ def test_an_integral_float_tau_loads_as_the_integer():
     model = load_models(json.dumps(_replace(doc, path, 4.0)))[LayerKind.CNN]
     assert type(model.root.condition.tau) is int
     assert model.predict(_CONFIG) == two_leaf_channel_model().predict(_CONFIG)
+
+
+# a field of 2**53, and flops of 2**53 + 2**26 from two fields of 2**26
+_OUTSIDE = {"field of 2**53": fc(2**53, 1), "flops past 2**53": fc(2**26, 2**26)}
+# flops of 2**53 - 1: the widest FC layer of one output that loads
+_EDGE = fc(2**52 - 1, 1)
+_TOO_LARGE = "FC config has a size too large for a float"
+
+
+def _documents_of(config) -> dict:
+    """The network, profile, plan and config documents of ``config``, as the writers write it."""
+    return {
+        "network": json.loads(save_network(NetworkSpec((config,)))),
+        "profile": _json_line(write_profile, ProfileSample(config=config, time_ms=3.25)),
+        "plan": _json_line(save_plan, config),
+        "config": config_to_dict(config),
+    }
+
+
+@pytest.mark.parametrize("name", ["network", "profile", "plan", "config"])
+@pytest.mark.parametrize("config", list(_OUTSIDE.values()), ids=list(_OUTSIDE))
+def test_a_size_of_2_53_or_more_is_a_located_format_error(name, config, scratch):
+    with pytest.raises(_ERRORS[name]) as raised:
+        _load(name, json.dumps(_documents_of(config)[name]), scratch)
+    # line files name the line; the CLI names a network or config file by its path
+    where = {
+        "network": "malformed layer record: ",
+        "profile": f"{scratch / 'profile.jsonl'}:1: ",
+        "plan": f"{scratch / 'plan.jsonl'}:1: ",
+        "config": "",
+    }[name]
+    assert str(raised.value) == where + _TOO_LARGE
+    assert _load(name, json.dumps(_documents_of(_EDGE)[name]), scratch)
+
+
+@pytest.mark.parametrize("config", list(_OUTSIDE.values()), ids=list(_OUTSIDE))
+def test_ingest_profile_rejects_a_size_of_2_53_or_more_by_both_paths(config, scratch):
+    path = scratch / "ingest.jsonl"
+    lines = [_documents_of(c)["profile"] for c in (_EDGE, config)]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    # the column path refuses the file, and the record path names the line
+    assert harness._ingest_columns(path) is None
+    message = f"^{re.escape(f'{path}:2: {_TOO_LARGE}')}$"
+    for ingest in (harness._ingest_records, ingest_profile):
+        with pytest.raises(ProfileFormatError, match=message):
+            ingest(path)
+    # at the edge, both paths load the same arrays
+    path.write_text(json.dumps(lines[0]) + "\n")
+    by_column, by_record = harness._ingest_columns(path), harness._ingest_records(path)
+    assert list(by_column) == list(by_record) == [LayerKind.FC]
+    for name in ("features", "explanatory", "times"):
+        column, record = (getattr(data[LayerKind.FC], name) for data in (by_column, by_record))
+        assert column.tobytes() == record.tobytes()
+    assert by_column[LayerKind.FC].explanatory[0, 0] == 2**53 - 1

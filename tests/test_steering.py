@@ -22,6 +22,7 @@ from conftest import (
     random_config,
     random_tree_model,
     two_leaf_channel_model,
+    widest,
 )
 from layertime.harness import default_oracle
 from layertime.layers import (
@@ -1260,18 +1261,33 @@ def test_expand_layer_never_slower_never_narrower_and_a_fixed_point(kind, max_de
 @given(
     seed=st.integers(0, 2**32 - 1),
     field=st.sampled_from(width_fields(LayerKind.CNN)),
-    width=st.integers(2**53 - 64, 2**62),
+    below=st.integers(0, 64),
 )
-def test_expand_layer_ends_on_widths_past_float_precision(seed, field, width):
-    # past 2**53 a width's float feature is not the width itself, so a
-    # rounding read from the feature can leave the integer width unchanged
+def test_expand_layer_stays_inside_the_domain_at_its_edge(seed, field, below):
+    # a width at most 64 below the widest one whose flops and memory stay
+    # below 2**53: roundings of either width may cross 2**53, and a walk
+    # must not take them
     rng = np.random.default_rng(seed)
     model = width_tree_model(rng, LayerKind.CNN)
-    config = dataclasses.replace(random_config(rng, LayerKind.CNN), **{field: width})
+    config = random_config(rng, LayerKind.CNN)
+    edge = widest(config, field)
+    config = dataclasses.replace(config, **{field: max(1, edge - below)})
+    with pytest.raises(ValueError, match="too large"):
+        _split_row(dataclasses.replace(config, **{field: edge + 1}))
     expanded, _ = expand_layer(model, config)
+    assert model.predict(expanded) <= model.predict(config)
     for name in width_fields(LayerKind.CNN):
         assert getattr(expanded, name) >= getattr(config, name)
-    assert expand_layer(model, expanded)[0] == expanded
+
+
+@pytest.mark.parametrize("search", [greedy_compress, brute_force_compress])
+def test_a_grid_width_outside_the_domain_raises_the_pricing_error(search):
+    # an output width of 2**26 gives flops of 2**53 + 2**26: the width itself is
+    # exact, so it reaches pricing, which rejects it as any bad input
+    models = {LayerKind.FC: default_oracle().models[LayerKind.FC]}
+    net = NetworkSpec((fc(2**26, 8),))
+    with pytest.raises(ValueError, match="^FC config has a size too large for a float$"):
+        search(lambda _: 0.0, models, net, 1.0, [[4, 2**26]])
 
 
 @settings(max_examples=200, deadline=None)

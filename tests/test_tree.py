@@ -1,5 +1,7 @@
 """Condition enumeration, impurity, tree growth, prediction, serialization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from conftest import (
     leaf,
     random_config,
     random_tree_model,
+    widest,
 )
 from layertime import layers, tree
 from layertime.layers import (
@@ -725,10 +728,9 @@ def feature_split_tree(rng, kind, features, depth=0):
 @given(kind=st.sampled_from(list(LayerKind)), seed=st.integers(0, 2**32 - 1))
 def test_float_routing_reaches_the_leaf_of_the_array_routing(kind, seed):
     rng = np.random.default_rng(seed)
-    n = len(layers.feature_names(kind))
     for _ in range(10):
         config = random_config(rng, kind)
-        values = layers._row_values(config)[:n]
+        values = layers._split_row(config)[0]
         row = np.array(values)
         for model in (
             random_tree_model(rng, kind),
@@ -740,7 +742,7 @@ def test_float_routing_reaches_the_leaf_of_the_array_routing(kind, seed):
 def test_float_routing_on_zero_features_and_taus_equal_to_a_feature():
     config = cnn(24, 24, 3, 3, 8, 16, padding="valid")
     names = layers.feature_names(LayerKind.CNN)
-    values = layers._row_values(config)[: len(names)]
+    values = layers._split_row(config)[0]
     padding, channels = names.index("padding"), names.index("out_channel")
     assert values[padding] == 0.0
     for condition in (
@@ -756,6 +758,54 @@ def test_float_routing_on_zero_features_and_taus_equal_to_a_feature():
         leaf_reached = tree._route(model.root, values)
         assert leaf_reached is model.route_features(np.array(values))
         assert model.predict(config) == (1.0 if bool(condition.holds(np.array(values))) else 2.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(list(LayerKind)),
+    seed=st.integers(0, 2**32 - 1),
+    taus=st.lists(
+        st.one_of(st.sampled_from([2, 3, 4, 6, 8, 16, 32, 64, 128]), st.integers(2, 2**53 - 1)),
+        min_size=1, max_size=4,
+    ),
+    data=st.data(),
+)
+def test_route_predict_rows_and_int64_modulo_agree_on_every_multiple_condition(
+    kind, seed, taus, data
+):
+    # accepted configs up to the edge of the domain: each width at most the
+    # widest whose flops and memory sum stay below 2**53
+    rng = np.random.default_rng(seed)
+    configs = []
+    for _ in range(3):
+        config = random_config(rng, kind)
+        for name in layers.width_fields(kind):
+            width = data.draw(st.integers(1, widest(config, name)), label=name)
+            config = dataclasses.replace(config, **{name: width})
+        configs.append(config)
+    rows = [layers._split_row(config) for config in configs]
+    features = np.array([f for f, _ in rows])
+    explanatory = np.array([x for _, x in rows])
+    # the integers that the features hold
+    exact = np.array([
+        [PADDING_CODES[c.padding] if name == "padding" else getattr(c, name)
+         for name in layers._FIELDS_BY_KIND[kind]] + list(layers._derived(c)[:4])
+        for c in configs
+    ], dtype=np.int64)
+    assert features.max() < 2**53 and (features.astype(np.int64) == exact).all()
+    zero = (0.0,) * explanatory.shape[1]
+    masks = tree._multiple_masks(np.ascontiguousarray(features.T), np.array(taus))
+    for j in range(features.shape[1]):
+        for t, tau in enumerate(taus):
+            root = Node(
+                fit=leaf(zero, 3.0).fit, condition=Condition(j, tau, MULTIPLE),
+                left=leaf(zero, 1.0), right=leaf(zero, 2.0),
+            )
+            expected = exact[:, j] % np.int64(tau) == 0
+            assert [tree._route(root, f) is root.left for f, _ in rows] == expected.tolist()
+            priced = TimeModel(kind, root).predict_rows(features, explanatory)
+            assert priced.tolist() == np.where(expected, 1.0, 2.0).tolist()
+            assert masks[t, j].tolist() == expected.tolist()
 
 
 def test_predict_raises_for_a_feature_index_past_the_features():
