@@ -449,6 +449,8 @@ class SimplifiedTimeModel:
     Inside the joint verified region, configurations are first rounded up
     to the regions' multiples before prediction (never predicting above
     the base model); outside it, predictions match the base model exactly.
+    A snap that takes a config out of the domain (a size of ``2**53`` or
+    more) is not taken, and the base model's prediction is returned.
 
     Regions must pass verification and carry a multiple condition on a
     channel count, and two regions on one feature must agree on the modulus,
@@ -500,7 +502,11 @@ class SimplifiedTimeModel:
         snapped = self._snap(config)
         if snapped is None:
             return baseline
-        return min(baseline, self.base.predict(snapped))
+        try:
+            row = _split_row(snapped)
+        except ValueError:  # the snapping leaves the domain: not taken
+            return baseline
+        return min(baseline, self.base._price_row(*row))
 
 
 def simplify_model(

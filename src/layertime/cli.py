@@ -65,7 +65,6 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
     p = sub.add_parser("plan", help="generate a random profiling plan")
-    p.add_argument("--scope", default="default")
     p.add_argument("--networks", type=int, default=120)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -165,10 +164,7 @@ def _cmd_plan(args) -> int:
         raise _UsageError("--networks must be >= 1")
     if args.seed < 0:
         raise _UsageError("--seed must be >= 0")
-    try:
-        plan = generate_plan(scope=args.scope, n_networks=args.networks, seed=args.seed)
-    except ValueError as exc:  # an unknown --scope: the other two are checked above
-        raise _UsageError(str(exc)) from exc
+    plan = generate_plan(n_networks=args.networks, seed=args.seed)
     save_plan(plan, args.out)
     print(f"plan: {len(plan)} components across {args.networks} networks -> {args.out}")
     return 0

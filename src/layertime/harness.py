@@ -18,6 +18,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
@@ -25,11 +26,13 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .layers import (
+    _CNN,
+    _FC,
     _FIELDS_BY_KIND,
     LayerKind,
     Padding,
     StructureConfig,
-    _configs_of_rows,
+    _config_of,
     _integer,
     _number,
     _split_columns,
@@ -66,7 +69,6 @@ __all__ = [
     "default_oracle",
     "save_oracle",
     "load_oracle",
-    "SCOPES",
 ]
 
 
@@ -157,18 +159,23 @@ def _record_json(sample: ProfileSample) -> str:
 
 # --- profiling plans --------------------------------------------------------
 
+# The profiling space: each range is inclusive, and each range or choice list
+# is drawn uniformly.  Every value here meets the constructor's rules: counts
+# are >= 1, strides 1 or 2, and no kernel is wider than 5 against extents of
+# at least 24, so valid padding always fits.
+_FC_DIM = (1, 4096)
+_CNN_EXTENT = (24, 225)
+_CNN_CHANNEL = (1, 256)
+_RNN_DIM = (1, 512)
 _KERNEL_CHOICES = ((2, 2), (3, 3), (4, 4), (5, 5), (2, 3))
-_STEP_CHOICES = (8, 10, 15, 20)
-_PADDING_CHOICES = ("valid", "same")
 _STRIDE_CHOICES = (1, 2)
+_PADDING_CHOICES = (Padding.VALID, Padding.SAME)
+_STEP_CHOICES = (8, 10, 15, 20)
 
 # components per generated network; the default plan of 120 networks lands
 # around 1300 components in total
 _MIN_COMPONENTS = 8
 _MAX_COMPONENTS = 14
-
-
-_KINDS = tuple(LayerKind)
 
 _SPAN32, _SPAN64 = 1 << 32, 1 << 64
 _MASK32, _MASK64 = _SPAN32 - 1, _SPAN64 - 1
@@ -220,148 +227,75 @@ def _draws(seed: int) -> Callable[[int, int], int]:
     return draw
 
 
-def _row_drawers(draw: Callable[[int, int], int], scope: dict) -> tuple[Callable[[], tuple], ...]:
-    """Per kind, in ``_KINDS`` order, a function that draws one config's field
-    values, returned in canonical order.
+def _drawers(draw: Callable[[int, int], int]) -> tuple[Callable[[], StructureConfig], ...]:
+    """Per kind, in ``LayerKind`` order, a function that draws one config.
 
     The values are drawn in the order the constructors' arguments list them,
     except that a CNN's kernel is drawn first and a recurrent layer's step
-    before its dimensions; choices go through ``int()`` as they are drawn.
+    before its dimensions.  Each config is built by ``_config_of``, which
+    skips the constructor: every value the profiling space gives is one the
+    constructor would store as given.
     """
-    fc_lo, fc_hi = scope["fc_dim"]
-    lo, hi = scope["cnn_extent"]
-    clo, chi = scope["cnn_channel"]
-    rnn_lo, rnn_hi = scope["rnn_dim"]
-    kernels, strides, paddings, steps = (
-        scope[name] for name in ("kernels", "strides", "paddings", "steps")
-    )
+    fc_lo, fc_hi = _FC_DIM
+    lo, hi = _CNN_EXTENT
+    clo, chi = _CNN_CHANNEL
+    rnn_lo, rnn_hi = _RNN_DIM
     n_kernels, n_strides, n_paddings, n_steps = (
-        len(choices) - 1 for choices in (kernels, strides, paddings, steps)
+        len(choices) - 1
+        for choices in (_KERNEL_CHOICES, _STRIDE_CHOICES, _PADDING_CHOICES, _STEP_CHOICES)
     )
 
-    def fc_row() -> tuple:
-        return draw(fc_lo, fc_hi), draw(fc_lo, fc_hi)
+    # slots in StructureConfig order: kind, in_dim, out_dim, in_height,
+    # in_width, kernel_height, kernel_width, in_channel, out_channel,
+    # padding, stride, step
+    def fc_config() -> StructureConfig:
+        in_dim, out_dim = draw(fc_lo, fc_hi), draw(fc_lo, fc_hi)
+        return _config_of((
+            _FC, in_dim, out_dim, None, None, None, None, None, None, None, None, None,
+        ))
 
-    def cnn_row() -> tuple:
-        kernel = kernels[draw(0, n_kernels)]
+    def cnn_config() -> StructureConfig:
+        kernel_height, kernel_width = _KERNEL_CHOICES[draw(0, n_kernels)]
         in_height, in_width = draw(lo, hi), draw(lo, hi)
-        kernel_height, kernel_width = kernel[0], kernel[1]
         in_channel, out_channel = draw(clo, chi), draw(clo, chi)
-        stride = int(strides[draw(0, n_strides)])
-        padding = paddings[draw(0, n_paddings)]
-        return (
-            in_height, in_width, kernel_height, kernel_width, in_channel, out_channel,
-            padding, stride,
-        )
+        stride = _STRIDE_CHOICES[draw(0, n_strides)]
+        padding = _PADDING_CHOICES[draw(0, n_paddings)]
+        return _config_of((
+            _CNN, None, None, in_height, in_width, kernel_height, kernel_width,
+            in_channel, out_channel, padding, stride, None,
+        ))
 
-    def rnn_row() -> tuple:
-        step = int(steps[draw(0, n_steps)])
-        return draw(rnn_lo, rnn_hi), draw(rnn_lo, rnn_hi), step
+    def rnn_config(kind: LayerKind) -> StructureConfig:
+        step = _STEP_CHOICES[draw(0, n_steps)]
+        in_dim, out_dim = draw(rnn_lo, rnn_hi), draw(rnn_lo, rnn_hi)
+        return _config_of((
+            kind, in_dim, out_dim, None, None, None, None, None, None, None, None, step,
+        ))
 
-    drawers = {LayerKind.FC: fc_row, LayerKind.CNN: cnn_row}
-    return tuple(drawers.get(kind, rnn_row) for kind in _KINDS)
-
-
-SCOPES: dict[str, dict] = {
-    "default": {
-        "fc_dim": (1, 4096),
-        "cnn_extent": (24, 225),
-        "cnn_channel": (1, 256),
-        "kernels": _KERNEL_CHOICES,
-        "paddings": _PADDING_CHOICES,
-        "strides": _STRIDE_CHOICES,
-        "rnn_dim": (1, 512),
-        "steps": _STEP_CHOICES,
-    },
-}
-
-_RANGE_FIELDS = ("fc_dim", "cnn_extent", "cnn_channel", "rnn_dim")
-_CHOICE_FIELDS = ("kernels", "paddings", "strides", "steps")
+    return (
+        fc_config, cnn_config,
+        partial(rnn_config, LayerKind.GRU), partial(rnn_config, LayerKind.LSTM),
+    )
 
 
-def _checked_scope(scope: str) -> dict:
-    """The named scope's ranges as ``(lo, hi)`` integer pairs and its choices as
-    tuples; an empty range or an empty choice list is a ``ValueError`` naming its field.
-
-    A padding text is held as its :class:`Padding`, as the constructor stores
-    it; any other padding choice is kept, for the constructor to reject.
-    """
-    if scope not in SCOPES:
-        raise ValueError(f"unknown scope {scope!r}; known: {', '.join(sorted(SCOPES))}")
-    fields = SCOPES[scope]
-    checked = {}
-    for name in _RANGE_FIELDS:
-        where = f"scope {scope!r} {name}"
-        lo, hi = (_integer(where, value) for value in fields[name])
-        if not -(2**63) <= lo <= hi < 2**63:
-            raise ValueError(f"{where} must be a range lo <= hi of 64-bit integers, got {lo, hi}")
-        checked[name] = lo, hi
-    for name in _CHOICE_FIELDS:
-        checked[name] = tuple(fields[name])
-        if not checked[name]:
-            raise ValueError(f"scope {scope!r} {name} must hold at least one choice")
-    checked["paddings"] = tuple(map(_as_padding, checked["paddings"]))
-    return checked
-
-
-def _as_padding(choice):
-    """A padding text as its :class:`Padding`; any other choice as it is."""
-    if isinstance(choice, str):
-        try:
-            return Padding(choice)
-        except ValueError:
-            pass
-    return choice
-
-
-def generate_plan(
-    scope: str = "default", n_networks: int = 120, seed: int = 0
-) -> list[StructureConfig]:
-    """Draw a profiling plan: random layer configurations within a named scope.
+def generate_plan(n_networks: int = 120, seed: int = 0) -> list[StructureConfig]:
+    """Draw a profiling plan: random layer configurations from the profiling space.
 
     Each network draws its number of components, 8 to 14, and then each
     component draws its kind, uniformly over the four kinds, followed by
-    each of that kind's fields, uniformly over the field's scope range or
+    each of that kind's fields, uniformly over the field's fixed range or
     choices; a CNN's kernel is one (height, width) choice.  Every draw is
     deterministic under ``seed``: it is the value ``int(rng.integers(lo, hi + 1))``
     gives on ``rng = np.random.default_rng(seed)``.
-
-    The drawn values are checked by column, one column per field of a
-    kind, and the configs built without a constructor call each.  A plan
-    that breaks a rule is built through the constructors instead, which
-    raise the error of its first failing config.
     """
-    ranges = _checked_scope(scope)
     n_networks = _integer("n_networks", n_networks, 1)
     draw = _draws(_integer("seed", seed, 0))
-    drawers = _row_drawers(draw, ranges)
-    # each config's kind, as its index in _KINDS, and each kind's rows of field values
-    kinds: list[int] = []
-    rows: tuple[list[tuple], ...] = tuple([] for _ in _KINDS)
-    try:
-        for _ in range(n_networks):
-            for _ in range(draw(_MIN_COMPONENTS, _MAX_COMPONENTS)):
-                k = draw(0, len(_KINDS) - 1)
-                rows[k].append(drawers[k]())
-                kinds.append(k)
-    except Exception:
-        # a failed draw comes after the configs drawn before it were built
-        _construct(kinds, rows)
-        raise
-    built = [_configs_of_rows(kind, kind_rows) for kind, kind_rows in zip(_KINDS, rows)]
-    if None in built:
-        return _construct(kinds, rows)
-    next_configs = [iter(configs).__next__ for configs in built]
-    return [next_configs[k]() for k in kinds]
-
-
-def _construct(kinds: Sequence[int], rows: Sequence[Sequence[tuple]]) -> list[StructureConfig]:
-    """:func:`generate_plan`'s configs in plan order, each built by the constructor."""
-    next_rows = [iter(kind_rows).__next__ for kind_rows in rows]
-    return [
-        StructureConfig(_KINDS[k], **dict(zip(_FIELDS_BY_KIND[_KINDS[k]], next_rows[k]())))
-        for k in kinds
-    ]
+    drawers = _drawers(draw)
+    plan = []
+    for _ in range(n_networks):
+        for _ in range(draw(_MIN_COMPONENTS, _MAX_COMPONENTS)):
+            plan.append(drawers[draw(0, 3)]())
+    return plan
 
 
 def save_plan(plan: Sequence[StructureConfig], path: str | Path) -> None:

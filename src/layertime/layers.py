@@ -13,7 +13,6 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
-from itertools import repeat
 from types import SimpleNamespace
 from typing import Mapping, Sequence
 
@@ -361,38 +360,6 @@ def _with_widths(config: StructureConfig, **widths: int) -> StructureConfig:
             value = _integer(name, value, 1)
         slots[_SLOT_INDEX[name]] = value
     return _config_of(slots)
-
-
-def _configs_of_rows(kind: LayerKind, rows: Sequence[tuple]) -> list[StructureConfig] | None:
-    """The ``kind`` configs whose field values, in canonical order, are ``rows``.
-
-    The result is ``None`` when the constructor might reject one of them or
-    store a value other than the one given.  Its rules are checked on whole
-    columns: exact ints >= 1, :class:`Padding` members, stride 1 or 2 and
-    the valid-padding fit.  Then each config is built by :func:`_config_of`.
-    """
-    if not rows:
-        return []
-    columns = dict(zip(_FIELDS_BY_KIND[kind], zip(*rows)))
-    for name, column in columns.items():
-        if name == "padding":
-            if set(map(type, column)) != {Padding}:
-                return None
-        elif not (set(map(type, column)) == {int} and min(column) >= 1):
-            return None
-    if kind is _CNN and not (
-        set(columns["stride"]) <= {1, 2}
-        and all(
-            padding is not _VALID or (k_h <= in_h and k_w <= in_w)
-            for padding, k_h, in_h, k_w, in_w in zip(
-                columns["padding"], columns["kernel_height"], columns["in_height"],
-                columns["kernel_width"], columns["in_width"],
-            )
-        )
-    ):
-        return None
-    slots = [repeat(kind)] + [columns.get(name, repeat(None)) for name in _ALL_FIELDS]
-    return list(map(_config_of, zip(*slots)))
 
 
 def _derived(config: StructureConfig) -> tuple[int, int, int, int, int]:

@@ -562,6 +562,15 @@ def test_never_increases_inside_region(reference_model):
         assert simplified.predict(config) <= reference_model.predict(config)
 
 
+def test_a_snap_out_of_the_domain_returns_the_base_prediction():
+    model = default_oracle().models[LayerKind.CNN]
+    region = _regions(model, ConvGeometry(1, 1, 1, 1, 1, "same"))[2]
+    assert region.verified and region.bound == math.inf
+    # out_channel snaps up to 2**26, which takes the flops past 2**53
+    config = cnn(1, 1, 1, 1, 2**26 + 1, 2**26 - 1)
+    assert simplify_model(model, [region]).predict(config) == model.predict(config)
+
+
 def test_contradictory_regions_rejected(reference_model):
     with pytest.raises(ValueError):
         simplify_model(reference_model, [make_region(tau=4), make_region(tau=3)])

@@ -26,8 +26,9 @@ def inputs(tmp_path):
 
 def test_unknown_plan_scope_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "plan.jsonl"
-    assert main(["plan", "--scope", "galaxy", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: usage: unknown scope 'galaxy'; known: default\n"
+    # the profiling space is fixed: plan takes no --scope, not even "default"
+    assert main(["plan", "--scope", "default", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: usage: unrecognized arguments: --scope default\n"
     assert not out.exists()
 
 

@@ -93,8 +93,7 @@ _GRID = (
 # per subcommand: (flag, (usual values, odd values) or None for a switch, required);
 # every drawn size stays small: a plan never asks for more than 50 networks
 _FLAGS = {
-    "plan": [("--scope", (st.just("default"), st.sampled_from(["", "galaxy"])), False),
-             ("--networks", _count(1, 50, huge_ok=False), False),
+    "plan": [("--networks", _count(1, 50, huge_ok=False), False),
              ("--seed", _count(0, 2**32), False), ("--out", _OUT, True)],
     "synth": [("--plan", _input("plan.jsonl"), True),
               ("--oracle", (st.sampled_from(["default", f"{IN}/oracle.json"]),

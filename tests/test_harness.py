@@ -11,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import leaf
-from layertime import harness
 from layertime.cli import main
 from layertime.harness import (
     ProfileFormatError,
@@ -73,28 +72,6 @@ def test_zero_networks_is_an_error():
 def test_seed_that_is_not_a_non_negative_integer_is_an_error(seed):
     with pytest.raises(ValueError, match="seed must be"):
         generate_plan(n_networks=1, seed=seed)
-
-
-def test_unknown_scope_is_an_error():
-    with pytest.raises(ValueError, match="unknown scope"):
-        generate_plan(scope="galaxy")
-
-
-@pytest.mark.parametrize(
-    "field, value",
-    [("fc_dim", (5, 4)), ("cnn_extent", (30, 24)), ("cnn_channel", (1, -1)), ("rnn_dim", (2, 1)),
-     ("fc_dim", (1, 2**63)), ("kernels", ()), ("paddings", ()), ("strides", ()), ("steps", ())],
-)
-def test_an_empty_scope_range_is_an_error_naming_its_field(monkeypatch, field, value):
-    monkeypatch.setitem(harness.SCOPES, "narrow", {**harness.SCOPES["default"], field: value})
-    with pytest.raises(ValueError, match=f"scope 'narrow' {field}"):
-        generate_plan(scope="narrow", n_networks=1)
-
-
-def test_a_scope_range_of_one_value_draws_that_value(monkeypatch):
-    monkeypatch.setitem(harness.SCOPES, "narrow", {**harness.SCOPES["default"], "fc_dim": (7, 7)})
-    fcs = [c for c in generate_plan(scope="narrow", n_networks=4) if c.kind is LayerKind.FC]
-    assert fcs and all(c == fc(7, 7) for c in fcs)
 
 
 def test_default_plan_size():

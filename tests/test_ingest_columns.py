@@ -23,11 +23,33 @@ from layertime.harness import (
     synth_profile,
     write_profile,
 )
-from layertime.layers import LayerKind, config_to_dict, fc
+from layertime.layers import LayerKind, config_from_dict, config_to_dict, fc
 from layertime.tree import Dataset
 from test_fit_path import configs_by_kind
 
-large = st.integers(2**20, 2**40)  # sizes whose products cross 2**53
+
+def _size_field(record: dict) -> str:
+    """The field a record's sizes grow with: its input width."""
+    return "in_channel" if record["layer_type"] == "CNN" else "in_dim"
+
+
+def _largest_in_domain(record: dict) -> int:
+    """The largest value of the record's size field that keeps its config in
+    the domain, where every size is below 2**53; 0 if no value does."""
+    name = _size_field(record)
+
+    def inside(value: int) -> bool:
+        try:
+            config_from_dict({**record["config"], name: value, "kind": record["layer_type"]})
+        except ValueError:
+            return False
+        return True
+
+    lo, hi = 0, 2**53 - 1  # sizes grow with the field, so bisect
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if inside(mid) else (lo, mid - 1)
+    return lo
 
 
 @st.composite
@@ -36,16 +58,16 @@ def records(draw):
     kind = draw(st.sampled_from(list(LayerKind)))
     config = config_to_dict(draw(configs_by_kind[kind]))
     del config["kind"]
+    record = {"layer_type": kind.value, "config": config}
     if draw(st.integers(0, 9)) == 0:
-        name = "in_dim" if kind is not LayerKind.CNN else "in_channel"
-        config[name] = draw(large)
-    record = {
-        "layer_type": kind.value,
-        "config": config,
-        "time_ms": draw(st.one_of(
-            st.floats(1e-6, 1e6, allow_nan=False), st.integers(1, 10**6), st.just(10**400 // 10**100),
-        )),
-    }
+        # a size from 2**20 up to the largest the domain allows, whose
+        # products in flops and memory come near 2**53
+        top = _largest_in_domain(record)
+        if top:
+            config[_size_field(record)] = draw(st.integers(min(2**20, top), top))
+    record["time_ms"] = draw(st.one_of(
+        st.floats(1e-6, 1e6, allow_nan=False), st.integers(1, 10**6), st.just(10**400 // 10**100),
+    ))
     for name, values in (("reps", st.integers(1, 50)),
                          ("source", st.sampled_from(["measured", "synthetic"])),
                          ("schema", st.just(1))):
@@ -97,6 +119,8 @@ HOSTILE_RECORDS = {
         [0, -2]))),
     "field near 2**53": lambda draw, r: _set(r, _config_field(draw, r), draw(st.sampled_from(
         [2**53 - 1, 2**53, 10**200, 10**400]))),
+    "size just past the domain": lambda draw, r: _set(
+        r, ("config", _size_field(r)), _largest_in_domain(r) + 1),
     "stride 3": lambda draw, r: _set(_cnn_record(), ("config", "stride"), 3),
     "valid kernel too large": lambda draw, r: _set(
         _cnn_record(), ("config", draw(st.sampled_from(["kernel_height", "kernel_width"]))), 7),

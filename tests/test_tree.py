@@ -1041,7 +1041,8 @@ def test_batched_predict_rows_equals_the_row_by_row_walk(kind, seed, corrupt):
         explanatory[rng.random(len(configs)) < 0.2] = np.inf
     with np.errstate(all="ignore"):
         expected = _rows_outcome(lambda f, x: row_by_row(model, f, x), features, explanatory)
-    assert _rows_outcome(model.predict_rows, features, explanatory) == expected
+        actual = _rows_outcome(model.predict_rows, features, explanatory)
+    assert actual == expected
 
 
 def test_an_unreached_out_of_range_index_is_not_read():
