@@ -74,6 +74,17 @@ def test_seed_that_is_not_a_non_negative_integer_is_an_error(seed):
         generate_plan(n_networks=1, seed=seed)
 
 
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [((), {"scope": "default"}), (("default", 1, 0), {}), ((1, 0, "default"), {})],
+    ids=["scope keyword", "scope first", "scope last"],
+)
+def test_generate_plan_takes_only_n_networks_and_seed(args, kwargs):
+    # the profiling space is fixed: no scope is named, in any position
+    with pytest.raises(TypeError):
+        generate_plan(*args, **kwargs)
+
+
 def test_default_plan_size():
     plan = generate_plan(seed=0)  # 120 networks
     assert 1100 <= len(plan) <= 1500

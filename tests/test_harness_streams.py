@@ -11,7 +11,9 @@ batch, and its states are checked against numpy's own ``SeedSequence``.
 """
 
 import hashlib
+import itertools
 import json
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -27,7 +29,17 @@ from layertime.harness import (
     synth_profile,
     synth_time,
 )
-from layertime.layers import LayerKind, Padding, StructureConfig, cnn, config_to_dict, fc, gru, lstm
+from layertime.layers import (
+    LayerKind,
+    Padding,
+    StructureConfig,
+    cnn,
+    config_from_dict,
+    config_to_dict,
+    fc,
+    gru,
+    lstm,
+)
 from layertime.nnls import NumericError
 from layertime.tree import LinearFit, Node, TimeModel
 
@@ -119,13 +131,85 @@ def _slot_types(config):
     return tuple(type(getattr(config, name)) for name in StructureConfig.__slots__)
 
 
-def test_a_plan_stores_each_slot_as_the_constructor_does():
+@pytest.mark.parametrize("kind", list(LayerKind), ids=lambda kind: kind.value)
+def test_a_plan_stores_each_slot_as_the_constructor_does(kind):
     # configs are built without the constructor, and == cannot tell 2 from 2.0
     stored = {LayerKind, int, Padding, type(None)}
+    seen = 0
     for seed in range(300):
-        plan = generate_plan(n_networks=3, seed=seed)
-        assert list(map(_slot_types, plan)) == list(map(_slot_types, reference_plan(3, seed))), seed
-        assert set().union(*map(_slot_types, plan)) <= stored, seed
+        plan = [_slot_types(c) for c in generate_plan(n_networks=3, seed=seed) if c.kind is kind]
+        assert plan == [_slot_types(c) for c in reference_plan(3, seed) if c.kind is kind], seed
+        assert set().union(*plan) <= stored, seed
+        seen += len(plan)
+    assert seen
+
+
+def _corners(kind):
+    """Every config that ``kind``'s drawer builds when each range draw gives
+    one of its two ends and each choice draw any of its choices."""
+    index = list(LayerKind).index(kind)
+    bounds = []
+    harness._drawers(lambda lo, hi: bounds.append((lo, hi)) or lo)[index]()
+    # a choice draw is an index from 0 over a few choices; a range spans hundreds
+    picks = [range(lo, hi + 1) if hi - lo < 8 else (lo, hi) for lo, hi in bounds]
+    for values in itertools.product(*picks):
+        draws = iter(values)
+        yield harness._drawers(lambda lo, hi: next(draws))[index]()
+        assert next(draws, None) is None, "the drawer took fewer draws than it did first"
+
+
+@pytest.mark.parametrize("kind", list(LayerKind), ids=lambda kind: kind.value)
+def test_every_corner_of_the_space_builds_as_the_constructor_does(kind):
+    # random seeds rarely reach the space's ends, where a size or the valid
+    # padding fit would first break a rule of the constructor or the domain
+    corners = list(_corners(kind))
+    assert len(corners) == {LayerKind.FC: 4, LayerKind.CNN: 320}.get(kind, 16)
+    for config in corners:
+        built = config_from_dict(config_to_dict(config))  # the constructor, then the domain
+        assert built == config and _slot_types(built) == _slot_types(config), config
+
+
+# per layer kind, each field (a kernel is one field of two slots) and the
+# entry of the space it is drawn from
+_KERNEL = ("kernel_height", "kernel_width")
+_FIELD_SPACES = [
+    (LayerKind.FC, "in_dim", "fc_dim"),
+    (LayerKind.FC, "out_dim", "fc_dim"),
+    (LayerKind.CNN, "in_height", "cnn_extent"),
+    (LayerKind.CNN, "in_width", "cnn_extent"),
+    (LayerKind.CNN, _KERNEL, "kernels"),
+    (LayerKind.CNN, "in_channel", "cnn_channel"),
+    (LayerKind.CNN, "out_channel", "cnn_channel"),
+    (LayerKind.CNN, "stride", "strides"),
+    (LayerKind.CNN, "padding", "paddings"),
+    *((kind, field, space)
+      for kind in (LayerKind.GRU, LayerKind.LSTM)
+      for field, space in (("in_dim", "rnn_dim"), ("out_dim", "rnn_dim"), ("step", "steps"))),
+]
+_RANGES = {"fc_dim", "cnn_extent", "cnn_channel", "rnn_dim"}
+
+
+@pytest.fixture(scope="module")
+def large_plan():
+    return generate_plan(n_networks=2000, seed=0)  # about 5500 configs of each kind
+
+
+@pytest.mark.parametrize(
+    "kind, field, space", _FIELD_SPACES,
+    ids=[f"{kind.value}-{'kernel' if field == _KERNEL else field}" for kind, field, _ in _FIELD_SPACES],
+)
+def test_each_field_is_drawn_over_its_whole_range_or_choices(large_plan, kind, field, space):
+    get = attrgetter(*field) if field == _KERNEL else attrgetter(field)
+    values = [get(c) for c in large_plan if c.kind is kind]
+    if space in _RANGES:
+        lo, hi = _SPACE[space]
+        assert lo <= min(values) and max(values) <= hi
+        # thousands of uniform draws reach every quarter of the range
+        assert {(v - lo) * 4 // (hi - lo + 1) for v in values} == {0, 1, 2, 3}
+    elif field == "padding":
+        assert set(values) == set(map(Padding, _SPACE[space]))
+    else:
+        assert set(values) == set(_SPACE[space])
 
 
 # spans at and around the 32-bit and 64-bit edges of numpy's algorithm
